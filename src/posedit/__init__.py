@@ -17,7 +17,6 @@ from .blending import (
     blend_step,
     parse_attention_stack,
     resize_mask,
-    run_blend_schedule,
     run_blend_schedule_with_masks,
     threshold_mask,
 )
@@ -25,7 +24,6 @@ from .config import PipelineConfig, make_config, parse_pipeline_config
 from .ddim import (
     DdimSchedule,
     LatentState,
-    PromptEmbedding,
     constant_predictor,
     ddim_denoise_step,
     ddim_invert_step,

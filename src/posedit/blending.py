@@ -15,12 +15,11 @@ here depends on how a real attention tensor was reduced to a grid.
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._schema import array, integer, load_json, obj, reals
 from .errors import ParseError, ShapeError
 
 BLEND_RATIO_DEFAULT = 0.3
@@ -202,8 +201,21 @@ def _mask_union(a: Mask, b: Mask) -> Mask:
     return Mask(h=a.h, w=a.w, bits=np.maximum(a.bits, b.bits))
 
 
-def _schedule(stack: AttentionStack, token_set, ratio: float, union_with_initial: bool):
+def run_blend_schedule_with_masks(
+    stack: AttentionStack,
+    token_set,
+    ratio: float = BLEND_RATIO_DEFAULT,
+    union_with_initial: bool = False,
+) -> list[tuple[int, Mask, SpatialMap]]:
+    """``(step, mask, blended self-attention map)`` for every step, highest first.
+
+    The highest step masks from its own inversion cross-attention; each later
+    step masks from the denoising cross-attention of the step before it.  With
+    ``union_with_initial`` the propagated mask is OR-ed with the initial one,
+    widening the foreground instead of replacing it.
+    """
     token_set = tuple(token_set)
+    out = []
     initial = None
     previous = None
     for record in stack.steps:
@@ -218,77 +230,28 @@ def _schedule(stack: AttentionStack, token_set, ratio: float, union_with_initial
                     initial, record.denoise_self.h, record.denoise_self.w
                 )
                 mask = _mask_union(mask, resized_initial)
-        yield record.step, mask, blend_step(mask, record.denoise_self, record.inversion_self)
+        out.append(
+            (record.step, mask, blend_step(mask, record.denoise_self, record.inversion_self))
+        )
         previous = record
-
-
-def run_blend_schedule(
-    stack: AttentionStack,
-    token_set,
-    ratio: float = BLEND_RATIO_DEFAULT,
-    union_with_initial: bool = False,
-) -> list[tuple[int, SpatialMap]]:
-    """Blended self-attention map for every step, highest step first.
-
-    The highest step masks from its own inversion cross-attention; each later
-    step masks from the denoising cross-attention of the step before it.  With
-    ``union_with_initial`` the propagated mask is OR-ed with the initial one,
-    widening the foreground instead of replacing it.
-    """
-    return [
-        (step, s_edit)
-        for step, _, s_edit in _schedule(stack, token_set, ratio, union_with_initial)
-    ]
-
-
-def run_blend_schedule_with_masks(
-    stack: AttentionStack,
-    token_set,
-    ratio: float = BLEND_RATIO_DEFAULT,
-    union_with_initial: bool = False,
-) -> list[tuple[int, Mask, SpatialMap]]:
-    """Like :func:`run_blend_schedule` but keeps each step's mask for inspection."""
-    return list(_schedule(stack, token_set, ratio, union_with_initial))
+    return out
 
 
 # --- stack file parsing ----------------------------------------------------------
 
 
-def _reject_constant(name):
-    raise ParseError(f"non-finite number {name!r} is not allowed")
-
-
 def _parse_map(node, path) -> SpatialMap:
-    if not isinstance(node, dict):
-        raise ParseError(f"{path}: expected an object")
-    for key in node:
-        if key not in {"h", "w", "values"}:
-            raise ParseError(f"{path}: unexpected field {key!r}")
-    for key in ("h", "w", "values"):
-        if key not in node:
-            raise ParseError(f"{path}: missing field {key!r}")
-    h, w = node["h"], node["w"]
-    for name, v in (("h", h), ("w", w)):
-        if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-            raise ParseError(f"{path}.{name}: expected a positive integer, got {v!r}")
-    values = node["values"]
-    if not isinstance(values, list) or len(values) != h * w:
+    obj(node, path, required=("h", "w", "values"))
+    h = integer(node["h"], path, "h", minimum=1)
+    w = integer(node["w"], path, "w", minimum=1)
+    values = reals(node["values"], path, "values", nonneg=True)
+    if len(values) != h * w:
         raise ParseError(f"{path}.values: expected a row-major array of {h * w} numbers")
-    flat = []
-    for i, v in enumerate(values):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ParseError(f"{path}.values[{i}]: expected a number, got {v!r}")
-        fv = float(v)
-        if not math.isfinite(fv) or fv < 0.0:
-            raise ParseError(f"{path}.values[{i}]: must be finite and non-negative")
-        flat.append(fv)
-    grid = np.array(flat, dtype=np.float64).reshape(h, w)
-    return SpatialMap(h=h, w=w, values=grid)
+    return SpatialMap(h=h, w=w, values=np.array(values, dtype=np.float64).reshape(h, w))
 
 
 def _parse_cross(node, path) -> CrossAttentionMap:
-    if not isinstance(node, list) or not node:
-        raise ParseError(f"{path}: expected a non-empty array of token maps")
+    array(node, path, nonempty=True)
     maps = tuple(_parse_map(m, f"{path}[{i}]") for i, m in enumerate(node))
     try:
         return CrossAttentionMap(maps=maps)
@@ -302,33 +265,12 @@ def parse_attention_stack(text: str) -> AttentionStack:
     ``c_inv``/``c_den`` are arrays of ``{h, w, values}`` token maps and
     ``s_inv``/``s_den`` single maps; steps must be strictly descending.
     """
-    try:
-        doc = json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError("$: expected an object")
-    for key in doc:
-        if key != "steps":
-            raise ParseError(f"$: unexpected field {key!r}")
-    if "steps" not in doc or not isinstance(doc["steps"], list) or not doc["steps"]:
-        raise ParseError("steps: expected a non-empty array")
-
+    doc = obj(load_json(text), "$", required=("steps",))
     records = []
-    for i, node in enumerate(doc["steps"]):
+    for i, node in enumerate(array(doc["steps"], "$", "steps", nonempty=True)):
         path = f"steps[{i}]"
-        if not isinstance(node, dict):
-            raise ParseError(f"{path}: expected an object")
-        allowed = {"step", "c_inv", "s_inv", "c_den", "s_den"}
-        for key in node:
-            if key not in allowed:
-                raise ParseError(f"{path}: unexpected field {key!r}")
-        for key in allowed:
-            if key not in node:
-                raise ParseError(f"{path}: missing field {key!r}")
-        step = node["step"]
-        if isinstance(step, bool) or not isinstance(step, int) or step < 1:
-            raise ParseError(f"{path}.step: expected a positive integer, got {step!r}")
+        obj(node, path, required=("step", "c_inv", "s_inv", "c_den", "s_den"))
+        step = integer(node["step"], path, "step", minimum=1)
         try:
             records.append(
                 BlendStepRecord(

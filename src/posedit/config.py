@@ -10,14 +10,15 @@ own directory by the CLI, which keeps run artifacts relocatable.
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass, fields
 
+from ._schema import array, boolean, integer, load_json, real, string
+from .blending import BLEND_RATIO_DEFAULT
+from .ddim import BETA_END_DEFAULT, BETA_START_DEFAULT, STEPS_DEFAULT
+from .editor import IOU_THRESHOLD_DEFAULT
 from .errors import ParseError
 
 FRAME_COUNT_DEFAULT = 12
-FRAME_COUNT_LONG = 24
 
 
 @dataclass(frozen=True)
@@ -25,14 +26,14 @@ class PipelineConfig:
     """Knobs and input/output paths shared by the CLI commands."""
 
     frame_count: int = FRAME_COUNT_DEFAULT
-    iou_threshold: float = 0.3
-    blend_ratio: float = 0.3
+    iou_threshold: float = IOU_THRESHOLD_DEFAULT
+    blend_ratio: float = BLEND_RATIO_DEFAULT
     top_k: int = 1
     tokens: tuple[int, ...] = (0,)
     union_initial_mask: bool = False
-    ddim_steps: int = 50
-    beta_start: float = 0.00085
-    beta_end: float = 0.012
+    ddim_steps: int = STEPS_DEFAULT
+    beta_start: float = BETA_START_DEFAULT
+    beta_end: float = BETA_END_DEFAULT
     latent_dim: int = 8
     seed: int = 0
     embedder_command: str | None = None
@@ -88,55 +89,31 @@ def config_path_fields() -> frozenset[str]:
     return _PATH_FIELDS
 
 
-def _reject_constant(name):
-    raise ParseError(f"non-finite number {name!r} is not allowed")
-
-
 def parse_pipeline_config(text: str) -> dict:
     """Parse a config file into a dict of validated field values.
 
     Unknown keys are rejected outright: silently ignoring a typo like
     ``frame_cont`` would change the run without a trace.
     """
-    try:
-        doc = json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
+    doc = load_json(text)
     if not isinstance(doc, dict):
-        raise ParseError("$: expected an object")
-
+        raise ParseError(f"$: expected an object, got {type(doc).__name__}")
     known = {f.name for f in fields(PipelineConfig)}
     out = {}
     for key, value in doc.items():
         if key not in known:
             raise ParseError(f"$: unknown config field {key!r}")
         if key in _PATH_FIELDS:
-            if not isinstance(value, str) or not value:
-                raise ParseError(f"{key}: expected a non-empty string path")
-            out[key] = value
+            out[key] = string(value, "$", key, nonempty=True)
         elif key == "tokens":
-            if not isinstance(value, list) or not value:
-                raise ParseError("tokens: expected a non-empty array of indices")
-            toks = []
-            for i, t in enumerate(value):
-                if isinstance(t, bool) or not isinstance(t, int) or t < 0:
-                    raise ParseError(f"tokens[{i}]: expected a non-negative integer")
-                toks.append(t)
-            out[key] = tuple(toks)
+            array(value, "$", key, nonempty=True)
+            out[key] = tuple(integer(t, key, i, minimum=0) for i, t in enumerate(value))
         elif key == "union_initial_mask":
-            if not isinstance(value, bool):
-                raise ParseError(f"{key}: expected a boolean, got {value!r}")
-            out[key] = value
+            out[key] = boolean(value, "$", key)
         elif key in {"frame_count", "top_k", "ddim_steps", "latent_dim", "seed"}:
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ParseError(f"{key}: expected an integer, got {value!r}")
-            out[key] = value
+            out[key] = integer(value, "$", key)
         else:  # real-valued knob
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ParseError(f"{key}: expected a number, got {value!r}")
-            if not math.isfinite(float(value)):
-                raise ParseError(f"{key}: number must be finite")
-            out[key] = float(value)
+            out[key] = real(value, "$", key)
     return out
 
 

@@ -113,22 +113,6 @@ class LatentState:
         return self.values.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class PromptEmbedding:
-    """Opaque conditioning vector, passed through to the noise predictor."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.values, dtype=np.float64, copy=True)
-        if arr.ndim != 1:
-            raise ShapeError(f"embedding must be a flat vector, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("embedding values must be finite")
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-
-
 def _check_eps(eps, dim: int) -> np.ndarray:
     arr = np.asarray(eps, dtype=np.float64)
     if arr.shape != (dim,):

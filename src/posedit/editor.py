@@ -10,10 +10,10 @@ Unmatched people pass through bit-identically.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
+from ._schema import array, fraction, integer, load_json, obj, reals, string
 from .errors import ParseError, ShapeError
 from .pose_model import (
     BoundingBox,
@@ -261,10 +261,6 @@ def out_of_bounds_detections(
 # --- detection file parsing ----------------------------------------------------
 
 
-def _reject_constant(name):
-    raise ParseError(f"non-finite number {name!r} is not allowed")
-
-
 def parse_detections(text: str) -> DetectionSet:
     """Parse a detection document.
 
@@ -272,63 +268,25 @@ def parse_detections(text: str) -> DetectionSet:
     "box": [x_min, y_min, x_max, y_max], "score": real}]}``.  An empty
     detections array is valid (the pipeline then edits nobody).
     """
-    try:
-        doc = json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError("$: expected an object")
-    for key in doc:
-        if key not in {"frame_index", "detections"}:
-            raise ParseError(f"$: unexpected field {key!r}")
-    if "frame_index" not in doc or "detections" not in doc:
-        raise ParseError("$: needs 'frame_index' and 'detections'")
-    fidx = doc["frame_index"]
-    if isinstance(fidx, bool) or not isinstance(fidx, int) or fidx < 0:
-        raise ParseError(f"frame_index: expected a non-negative integer, got {fidx!r}")
-    dets_node = doc["detections"]
-    if not isinstance(dets_node, list):
-        raise ParseError("detections: expected an array")
-
+    doc = obj(load_json(text), "$", required=("frame_index", "detections"))
+    frame_index = integer(doc["frame_index"], "$", "frame_index", minimum=0)
     detections = []
-    for i, node in enumerate(dets_node):
+    for i, node in enumerate(array(doc["detections"], "$", "detections")):
         path = f"detections[{i}]"
-        if not isinstance(node, dict):
-            raise ParseError(f"{path}: expected an object")
-        for key in node:
-            if key not in {"phrase", "box", "score"}:
-                raise ParseError(f"{path}: unexpected field {key!r}")
-        for key in ("phrase", "box", "score"):
-            if key not in node:
-                raise ParseError(f"{path}: missing field {key!r}")
-        phrase = node["phrase"]
-        if not isinstance(phrase, str) or not phrase:
-            raise ParseError(f"{path}.phrase: expected a non-empty string")
-        box_node = node["box"]
-        if not isinstance(box_node, list) or len(box_node) != 4:
+        obj(node, path, required=("phrase", "box", "score"))
+        phrase = string(node["phrase"], path, "phrase", nonempty=True)
+        coords = reals(node["box"], path, "box")
+        if len(coords) != 4:
             raise ParseError(f"{path}.box: expected [x_min, y_min, x_max, y_max]")
-        coords = []
-        for j, v in enumerate(box_node):
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ParseError(f"{path}.box[{j}]: expected a number, got {v!r}")
-            if not math.isfinite(float(v)):
-                raise ParseError(f"{path}.box[{j}]: number must be finite")
-            coords.append(float(v))
         if coords[2] < coords[0] or coords[3] < coords[1]:
             raise ParseError(
                 f"{path}.box: extents must satisfy x_min <= x_max and y_min <= y_max"
             )
-        score = node["score"]
-        if isinstance(score, bool) or not isinstance(score, (int, float)):
-            raise ParseError(f"{path}.score: expected a number, got {score!r}")
-        score = float(score)
-        if not (math.isfinite(score) and 0.0 <= score <= 1.0):
-            raise ParseError(f"{path}.score: must be in [0, 1], got {score}")
         detections.append(
             Detection(
                 phrase=phrase,
-                box=BoundingBox(coords[0], coords[1], coords[2], coords[3]),
-                score=score,
+                box=BoundingBox(*coords),
+                score=fraction(node["score"], path, "score"),
             )
         )
-    return DetectionSet(frame_index=fidx, detections=tuple(detections))
+    return DetectionSet(frame_index=frame_index, detections=tuple(detections))

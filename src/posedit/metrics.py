@@ -13,9 +13,9 @@ The functions are pure, so per-case evaluation order never matters.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
+from ._schema import array, load_json, obj, string
 from .errors import ParseError, ShapeError
 from .retrieval import EmbeddingVector, cosine, embedding_from_node
 
@@ -113,44 +113,25 @@ def gt_con(edited: VideoEmbeddingRecord, ground_truth: VideoEmbeddingRecord | No
 # --- manifest parsing -------------------------------------------------------------
 
 
-def _reject_constant(name):
-    raise ParseError(f"non-finite number {name!r} is not allowed")
-
-
-def _slot(node, path, read_file):
-    """An embedding or record slot is either inline or ``{"path": "..."}``."""
+def _slot(case, path, key, read_file, parse):
+    """``parse`` the node in slot ``key`` of a case: given inline, or read
+    from the file named by ``{"path": "..."}``."""
+    where = f"{path}.{key}"
+    node = case[key]
     if isinstance(node, dict) and set(node) == {"path"}:
-        ref = node["path"]
-        if not isinstance(ref, str) or not ref:
-            raise ParseError(f"{path}.path: expected a non-empty string")
+        ref = string(node["path"], where, "path", nonempty=True)
         try:
-            text = read_file(ref)
-        except OSError as exc:
-            raise ParseError(f"{path}.path: cannot read {ref!r}: {exc}") from exc
-        try:
-            return json.loads(text, parse_constant=_reject_constant)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}.path: invalid JSON in {ref!r}: {exc}") from exc
-    return node
+            node = load_json(read_file(ref))
+        except ParseError as exc:
+            raise ParseError(f"{where}.path: {ref!r}: {exc}") from exc
+    return parse(node, where)
 
 
 def _record_from_node(node, path) -> VideoEmbeddingRecord:
-    if not isinstance(node, dict):
-        raise ParseError(f"{path}: expected an object")
-    allowed = {"video_id", "video_embedding", "frame_embeddings"}
-    for key in node:
-        if key not in allowed:
-            raise ParseError(f"{path}: unexpected field {key!r}")
-    for key in allowed:
-        if key not in node:
-            raise ParseError(f"{path}: missing field {key!r}")
-    video_id = node["video_id"]
-    if not isinstance(video_id, str) or not video_id:
-        raise ParseError(f"{path}.video_id: expected a non-empty string")
+    obj(node, path, required=("video_id", "video_embedding", "frame_embeddings"))
+    video_id = string(node["video_id"], path, "video_id", nonempty=True)
     video_embedding = embedding_from_node(node["video_embedding"], f"{path}.video_embedding")
-    frames_node = node["frame_embeddings"]
-    if not isinstance(frames_node, list) or not frames_node:
-        raise ParseError(f"{path}.frame_embeddings: expected a non-empty array")
+    frames_node = array(node["frame_embeddings"], path, "frame_embeddings", nonempty=True)
     frames = tuple(
         embedding_from_node(fn, f"{path}.frame_embeddings[{i}]")
         for i, fn in enumerate(frames_node)
@@ -171,58 +152,34 @@ def parse_metric_cases(text: str, read_file) -> list[MetricCase]:
     may be inline or ``{"path": "relative/file.json"}``; ``read_file`` maps a
     path string to its text (the CLI resolves relative to the manifest).
     """
-    try:
-        doc = json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, list) or not doc:
-        raise ParseError("$: expected a non-empty array of cases")
-
     cases = []
     seen = set()
-    for i, node in enumerate(doc):
+    for i, node in enumerate(array(load_json(text), "$", nonempty=True)):
         path = f"$[{i}]"
-        if not isinstance(node, dict):
-            raise ParseError(f"{path}: expected an object")
-        allowed = {
-            "case_id",
-            "edited",
-            "source",
-            "target_prompt_embedding",
-            "source_prompt_embedding",
-            "ground_truth",
-        }
-        for key in node:
-            if key not in allowed:
-                raise ParseError(f"{path}: unexpected field {key!r}")
-        for key in allowed - {"ground_truth"}:
-            if key not in node:
-                raise ParseError(f"{path}: missing field {key!r}")
-        case_id = node["case_id"]
-        if not isinstance(case_id, str) or not case_id:
-            raise ParseError(f"{path}.case_id: expected a non-empty string")
+        obj(
+            node,
+            path,
+            required=(
+                "case_id",
+                "edited",
+                "source",
+                "target_prompt_embedding",
+                "source_prompt_embedding",
+            ),
+            optional=("ground_truth",),
+        )
+        case_id = string(node["case_id"], path, "case_id", nonempty=True)
         if case_id in seen:
             raise ParseError(f"{path}.case_id: duplicate id {case_id!r}")
         seen.add(case_id)
 
-        edited = _record_from_node(_slot(node["edited"], f"{path}.edited", read_file),
-                                   f"{path}.edited")
-        source = _record_from_node(_slot(node["source"], f"{path}.source", read_file),
-                                   f"{path}.source")
-        target_pe = embedding_from_node(
-            _slot(node["target_prompt_embedding"], f"{path}.target_prompt_embedding", read_file),
-            f"{path}.target_prompt_embedding",
-        )
-        source_pe = embedding_from_node(
-            _slot(node["source_prompt_embedding"], f"{path}.source_prompt_embedding", read_file),
-            f"{path}.source_prompt_embedding",
-        )
+        edited = _slot(node, path, "edited", read_file, _record_from_node)
+        source = _slot(node, path, "source", read_file, _record_from_node)
+        target_pe = _slot(node, path, "target_prompt_embedding", read_file, embedding_from_node)
+        source_pe = _slot(node, path, "source_prompt_embedding", read_file, embedding_from_node)
         ground_truth = None
         if "ground_truth" in node:
-            ground_truth = _record_from_node(
-                _slot(node["ground_truth"], f"{path}.ground_truth", read_file),
-                f"{path}.ground_truth",
-            )
+            ground_truth = _slot(node, path, "ground_truth", read_file, _record_from_node)
         try:
             cases.append(
                 MetricCase(

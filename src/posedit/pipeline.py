@@ -108,7 +108,7 @@ def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise StageError(f"cannot read {path}: {exc}") from exc
 
 
@@ -128,7 +128,7 @@ def _write_manifest(out_dir: str, names: list[str]) -> None:
     _write(out_dir, "manifest.json", _dump({"files": sorted(names)}))
 
 
-def _require(value, flag: str):
+def _needed(value, flag: str):
     if value is None:
         raise StageError(f"missing required input: supply {flag}")
     return value
@@ -159,7 +159,7 @@ def run_align(config: PipelineConfig, fixed_path: str, moving_path: str) -> dict
     Both clips must carry exactly one instance in their first frame.  Writes
     ``transform.json`` and the transformed clip ``aligned.json``.
     """
-    out_dir = _require(config.out_dir, "--out-dir")
+    out_dir = _needed(config.out_dir, "--out-dir")
     fixed = parse_pose_video(_read(fixed_path))
     moving = parse_pose_video(_read(moving_path))
     for name, video in (("fixed", fixed), ("moving", moving)):
@@ -194,9 +194,9 @@ def run_align(config: PipelineConfig, fixed_path: str, moving_path: str) -> dict
 
 def run_retrieve(config: PipelineConfig) -> dict:
     """Rank database entries against the query embedding; write the ranking."""
-    out_dir = _require(config.out_dir, "--out-dir")
-    db_path = _require(config.db, "--db")
-    q_path = _require(config.query_embedding, "--query-embedding")
+    out_dir = _needed(config.out_dir, "--out-dir")
+    db_path = _needed(config.db, "--db")
+    q_path = _needed(config.query_embedding, "--query-embedding")
     entries = parse_db_manifest(_read(db_path))
     db = build_index(entries)
     q = parse_embedding(_read(q_path))
@@ -252,11 +252,11 @@ def run_edit(config: PipelineConfig) -> dict:
     Writes one edited pose video per retrieved entry (``edited.json`` for
     top-1, ``edited_01.json`` ... for diverse results) plus ``report.json``.
     """
-    out_dir = _require(config.out_dir, "--out-dir")
-    source = parse_pose_video(_read(_require(config.source, "--source")))
-    dset = parse_detections(_read(_require(config.detections, "--detections")))
-    answer = parse_answer(_read(_require(config.answer, "--answer")))
-    db_path = _require(config.db, "--db")
+    out_dir = _needed(config.out_dir, "--out-dir")
+    source = parse_pose_video(_read(_needed(config.source, "--source")))
+    dset = parse_detections(_read(_needed(config.detections, "--detections")))
+    answer = parse_answer(_read(_needed(config.answer, "--answer")))
+    db_path = _needed(config.db, "--db")
     entries = parse_db_manifest(_read(db_path))
     db = build_index(entries)
     q = _embed_answer(config, answer)
@@ -325,8 +325,8 @@ def run_edit(config: PipelineConfig) -> dict:
 
 def run_blend_demo(config: PipelineConfig) -> dict:
     """Run the blend schedule over a stack file; write masks and blended maps."""
-    out_dir = _require(config.out_dir, "--out-dir")
-    stack = parse_attention_stack(_read(_require(config.stack, "--stack")))
+    out_dir = _needed(config.out_dir, "--out-dir")
+    stack = parse_attention_stack(_read(_needed(config.stack, "--stack")))
     for t in config.tokens:
         if t >= stack.tokens:
             raise StageError(
@@ -406,7 +406,7 @@ def run_ddim_demo(config: PipelineConfig) -> dict:
     The denoising pass also feeds synthetic attention records to a blending
     hook; each blended map lands in ``blend_log.json``.
     """
-    out_dir = _require(config.out_dir, "--out-dir")
+    out_dir = _needed(config.out_dir, "--out-dir")
     sched = make_schedule(config.ddim_steps, config.beta_start, config.beta_end)
     rng = np.random.default_rng(config.seed)
     z0 = LatentState(values=rng.standard_normal(config.latent_dim), t=0)
@@ -483,17 +483,13 @@ def run_ddim_demo(config: PipelineConfig) -> dict:
 
 def run_metrics(config: PipelineConfig) -> dict:
     """Evaluate every manifest case; write machine- and human-readable reports."""
-    out_dir = _require(config.out_dir, "--out-dir")
-    manifest_path = _require(config.manifest, "--manifest")
+    out_dir = _needed(config.out_dir, "--out-dir")
+    manifest_path = _needed(config.manifest, "--manifest")
     base_dir = os.path.dirname(os.path.abspath(manifest_path))
-
-    def read_rel(path: str) -> str:
-        if not os.path.isabs(path):
-            path = os.path.join(base_dir, path)
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-
-    cases = parse_metric_cases(_read(manifest_path), read_rel)
+    # sidecar paths resolve against the manifest; absolute ones stay as given
+    cases = parse_metric_cases(
+        _read(manifest_path), lambda ref: _read(os.path.join(base_dir, ref))
+    )
 
     per_case = []
     hits = 0

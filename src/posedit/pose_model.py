@@ -37,6 +37,7 @@ import json
 import math
 from dataclasses import dataclass
 
+from ._schema import array, boolean, fraction, integer, load_json, obj, real, string
 from .errors import GeometryError, ParseError
 
 COCO_17_JOINTS = (
@@ -189,94 +190,30 @@ def out_of_frame_indices(video: PoseVideo) -> tuple[tuple[int, int, int], ...]:
 # --- parsing -----------------------------------------------------------------
 
 
-def _reject_constant(name):
-    raise ParseError(f"non-finite number {name!r} is not allowed")
-
-
-def _expect_object(node, path, allowed: set[str]):
-    if not isinstance(node, dict):
-        raise ParseError(f"{path}: expected an object, got {type(node).__name__}")
-    for key in node:
-        if key not in allowed:
-            raise ParseError(f"{path}: unexpected field {key!r}")
-    return node
-
-
-def _expect_list(node, path):
-    if not isinstance(node, list):
-        raise ParseError(f"{path}: expected an array, got {type(node).__name__}")
-    return node
-
-
-def _expect_int(node, path, minimum=None):
-    if isinstance(node, bool) or not isinstance(node, int):
-        raise ParseError(f"{path}: expected an integer, got {node!r}")
-    if minimum is not None and node < minimum:
-        raise ParseError(f"{path}: must be >= {minimum}, got {node}")
-    return node
-
-
-def _expect_real(node, path):
-    if isinstance(node, bool) or not isinstance(node, (int, float)):
-        raise ParseError(f"{path}: expected a number, got {node!r}")
-    value = float(node)
-    if not math.isfinite(value):
-        raise ParseError(f"{path}: number must be finite")
-    return value
-
-
-def _expect_bool(node, path):
-    if not isinstance(node, bool):
-        raise ParseError(f"{path}: expected a boolean, got {node!r}")
-    return node
-
-
-def _expect_str(node, path):
-    if not isinstance(node, str):
-        raise ParseError(f"{path}: expected a string, got {node!r}")
-    return node
-
-
-def _require(node, key, path):
-    if key not in node:
-        raise ParseError(f"{path}: missing field {key!r}")
-    return node[key]
-
-
 def parse_pose_video(text: str) -> PoseVideo:
     """Parse an interchange document into a validated :class:`PoseVideo`.
 
     Any schema violation raises :class:`ParseError` naming the offending
     path.  Out-of-frame visible keypoints are accepted (see module docstring).
     """
-    try:
-        doc = json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
-
-    _expect_object(doc, "$", {"width", "height", "skeleton", "frames", "label"})
-    width = _expect_int(_require(doc, "width", "$"), "width", minimum=1)
-    height = _expect_int(_require(doc, "height", "$"), "height", minimum=1)
-
-    skeleton_node = _expect_list(_require(doc, "skeleton", "$"), "skeleton")
-    if not skeleton_node:
-        raise ParseError("skeleton: must name at least one joint")
-    skeleton = tuple(
-        _expect_str(name, f"skeleton[{i}]") for i, name in enumerate(skeleton_node)
+    doc = obj(
+        load_json(text),
+        "$",
+        required=("width", "height", "skeleton", "frames"),
+        optional=("label",),
     )
-
-    label = None
-    if "label" in doc:
-        label = _expect_str(doc["label"], "label")
+    width = integer(doc["width"], "$", "width", minimum=1)
+    height = integer(doc["height"], "$", "height", minimum=1)
+    skeleton_node = array(doc["skeleton"], "$", "skeleton", nonempty=True)
+    skeleton = tuple(string(s, "skeleton", i) for i, s in enumerate(skeleton_node))
+    label = string(doc["label"], "$", "label") if "label" in doc else None
 
     frames = []
     last_index = None
-    for fi, frame_node in enumerate(_expect_list(_require(doc, "frames", "$"), "frames")):
+    for fi, frame_node in enumerate(array(doc["frames"], "$", "frames")):
         fpath = f"frames[{fi}]"
-        _expect_object(frame_node, fpath, {"frame_index", "instances"})
-        frame_index = _expect_int(
-            _require(frame_node, "frame_index", fpath), f"{fpath}.frame_index", minimum=0
-        )
+        obj(frame_node, fpath, required=("frame_index", "instances"))
+        frame_index = integer(frame_node["frame_index"], fpath, "frame_index", minimum=0)
         if last_index is not None and frame_index <= last_index:
             raise ParseError(
                 f"{fpath}.frame_index: must be strictly increasing "
@@ -286,39 +223,31 @@ def parse_pose_video(text: str) -> PoseVideo:
 
         instances = []
         seen_ids = set()
-        inst_list = _expect_list(_require(frame_node, "instances", fpath), f"{fpath}.instances")
-        for ii, inst_node in enumerate(inst_list):
+        for ii, inst_node in enumerate(array(frame_node["instances"], fpath, "instances")):
             ipath = f"{fpath}.instances[{ii}]"
-            _expect_object(inst_node, ipath, {"instance_id", "keypoints"})
-            instance_id = _expect_int(
-                _require(inst_node, "instance_id", ipath), f"{ipath}.instance_id", minimum=0
-            )
+            obj(inst_node, ipath, required=("instance_id", "keypoints"))
+            instance_id = integer(inst_node["instance_id"], ipath, "instance_id", minimum=0)
             if instance_id in seen_ids:
                 raise ParseError(f"{ipath}.instance_id: duplicate id {instance_id}")
             seen_ids.add(instance_id)
 
-            kp_list = _expect_list(
-                _require(inst_node, "keypoints", ipath), f"{ipath}.keypoints"
-            )
+            kp_list = array(inst_node["keypoints"], ipath, "keypoints")
             if len(kp_list) != len(skeleton):
                 raise ParseError(
                     f"{ipath}.keypoints: expected {len(skeleton)} joints, got {len(kp_list)}"
                 )
+            kpath = f"{ipath}.keypoints"
             keypoints = []
-            for ki, kp_node in enumerate(kp_list):
-                kpath = f"{ipath}.keypoints[{ki}]"
-                _expect_object(kp_node, kpath, {"x", "y", "visible", "confidence"})
-                x = _expect_real(_require(kp_node, "x", kpath), f"{kpath}.x")
-                y = _expect_real(_require(kp_node, "y", kpath), f"{kpath}.y")
-                visible = _expect_bool(_require(kp_node, "visible", kpath), f"{kpath}.visible")
-                confidence = _expect_real(
-                    _require(kp_node, "confidence", kpath), f"{kpath}.confidence"
-                )
-                if not 0.0 <= confidence <= 1.0:
-                    raise ParseError(
-                        f"{kpath}.confidence: must be in [0, 1], got {confidence}"
+            for ki, kp in enumerate(kp_list):
+                obj(kp, kpath, ki, required=("x", "y", "visible", "confidence"))
+                keypoints.append(
+                    Keypoint(
+                        x=real(kp["x"], kpath, ki, "x"),
+                        y=real(kp["y"], kpath, ki, "y"),
+                        visible=boolean(kp["visible"], kpath, ki, "visible"),
+                        confidence=fraction(kp["confidence"], kpath, ki, "confidence"),
                     )
-                keypoints.append(Keypoint(x=x, y=y, visible=visible, confidence=confidence))
+                )
             instances.append(PoseInstance(instance_id=instance_id, keypoints=tuple(keypoints)))
         frames.append(PoseFrame(frame_index=frame_index, instances=tuple(instances)))
 

@@ -10,12 +10,12 @@ Embeddings arrive from files; this module never computes one.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._schema import array, integer, load_json, name, obj, reals, string
 from .errors import DatabaseError, GeometryError, ParseError, ShapeError
 
 
@@ -114,46 +114,21 @@ def query(db: PoseDatabase, q: EmbeddingVector, k: int) -> list[tuple[str, float
 # --- manifest parsing ----------------------------------------------------------
 
 
-def _reject_constant(name):
-    raise ParseError(f"non-finite number {name!r} is not allowed")
-
-
 def embedding_from_node(node, path: str = "$") -> EmbeddingVector:
     """Validate an already-parsed ``{"dim": D, "values": [reals]}`` node."""
-    if not isinstance(node, dict):
-        raise ParseError(f"{path}: expected an object")
-    for key in node:
-        if key not in {"dim", "values"}:
-            raise ParseError(f"{path}: unexpected field {key!r}")
-    if "dim" not in node or "values" not in node:
-        raise ParseError(f"{path}: embedding needs both 'dim' and 'values'")
-    dim = node["dim"]
-    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
-        raise ParseError(f"{path}.dim: expected a positive integer, got {dim!r}")
-    values = node["values"]
-    if not isinstance(values, list):
-        raise ParseError(f"{path}.values: expected an array")
+    obj(node, path, required=("dim", "values"))
+    dim = integer(node["dim"], path, "dim", minimum=1)
+    values = reals(node["values"], path, "values")
     if len(values) != dim:
         raise ParseError(
-            f"{path}.values: length {len(values)} does not match dim {dim}"
+            f"{name(path, 'values')}: length {len(values)} does not match dim {dim}"
         )
-    out = []
-    for i, v in enumerate(values):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ParseError(f"{path}.values[{i}]: expected a number, got {v!r}")
-        if not math.isfinite(float(v)):
-            raise ParseError(f"{path}.values[{i}]: number must be finite")
-        out.append(float(v))
-    return EmbeddingVector(values=tuple(out))
+    return EmbeddingVector(values=tuple(values))
 
 
 def parse_embedding(text: str) -> EmbeddingVector:
     """Parse a query-embedding document: ``{"dim": D, "values": [reals]}``."""
-    try:
-        doc = json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
-    return embedding_from_node(doc)
+    return embedding_from_node(load_json(text))
 
 
 def parse_db_manifest(text: str) -> list[PoseDbEntry]:
@@ -163,51 +138,20 @@ def parse_db_manifest(text: str) -> list[PoseDbEntry]:
     "pose_video_path"}``.  Pose-video paths are kept verbatim; callers resolve
     them relative to the manifest's directory.
     """
-    try:
-        doc = json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, list):
-        raise ParseError("$: expected an array of entries")
-    if not doc:
-        raise ParseError("$: database manifest must not be empty")
     entries = []
-    for i, node in enumerate(doc):
+    for i, node in enumerate(array(load_json(text), "$", nonempty=True)):
         path = f"$[{i}]"
-        if not isinstance(node, dict):
-            raise ParseError(f"{path}: expected an object")
-        allowed = {"entry_id", "label", "embedding", "pose_video_path"}
-        for key in node:
-            if key not in allowed:
-                raise ParseError(f"{path}: unexpected field {key!r}")
-        for key in allowed:
-            if key not in node:
-                raise ParseError(f"{path}: missing field {key!r}")
-        entry_id = node["entry_id"]
-        label = node["label"]
-        video_path = node["pose_video_path"]
-        if not isinstance(entry_id, str) or not entry_id:
-            raise ParseError(f"{path}.entry_id: expected a non-empty string")
-        if not isinstance(label, str) or not label:
-            raise ParseError(f"{path}.label: expected a non-empty string")
-        if not isinstance(video_path, str) or not video_path:
-            raise ParseError(f"{path}.pose_video_path: expected a non-empty string")
-        emb = node["embedding"]
-        if not isinstance(emb, list) or not emb:
-            raise ParseError(f"{path}.embedding: expected a non-empty array")
-        values = []
-        for j, v in enumerate(emb):
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ParseError(f"{path}.embedding[{j}]: expected a number, got {v!r}")
-            if not math.isfinite(float(v)):
-                raise ParseError(f"{path}.embedding[{j}]: number must be finite")
-            values.append(float(v))
+        obj(node, path, required=("entry_id", "label", "embedding", "pose_video_path"))
         entries.append(
             PoseDbEntry(
-                entry_id=entry_id,
-                label=label,
-                embedding=EmbeddingVector(values=tuple(values)),
-                pose_video_path=video_path,
+                entry_id=string(node["entry_id"], path, "entry_id", nonempty=True),
+                label=string(node["label"], path, "label", nonempty=True),
+                embedding=EmbeddingVector(
+                    values=tuple(reals(node["embedding"], path, "embedding", nonempty=True))
+                ),
+                pose_video_path=string(
+                    node["pose_video_path"], path, "pose_video_path", nonempty=True
+                ),
             )
         )
     return entries

@@ -15,7 +15,6 @@ from posedit import (
     blend_step,
     parse_attention_stack,
     resize_mask,
-    run_blend_schedule,
     run_blend_schedule_with_masks,
     threshold_mask,
 )
@@ -218,10 +217,13 @@ def test_schedule_first_step_masks_from_own_inversion_cross():
     assert np.array_equal(m.bits, expected.bits)
 
 
-def test_run_blend_schedule_drops_masks():
+def test_schedule_maps_are_blends_of_the_returned_masks():
     stack = stack_from_fixture("blend_sched_01.json")
     with_masks = run_blend_schedule_with_masks(stack, (0,), 0.3)
-    without = run_blend_schedule(stack, (0,), 0.3)
+    without = [
+        (record.step, blend_step(m, record.denoise_self, record.inversion_self))
+        for record, (_, m, _) in zip(stack.steps, with_masks)
+    ]
     assert [(s, m.values.tolist()) for s, _, m in with_masks] == [
         (s, m.values.tolist()) for s, m in without
     ]

@@ -137,6 +137,23 @@ def test_retrieve_without_db_exits_3(tmp_path, capsys):
     assert "supply --db" in err
 
 
+def test_retrieve_out_of_range_query_exits_2(tmp_path, capsys):
+    query = tmp_path / "query.json"
+    query.write_text('{"dim": 1, "values": [%s]}' % ("1" * 400), encoding="utf-8")
+    code, out, err = run_cli(
+        capsys,
+        "retrieve",
+        "--db",
+        fixture_path("retrieval", "db_manifest.json"),
+        "--query-embedding",
+        str(query),
+        "--out-dir",
+        str(tmp_path / "out"),
+    )
+    assert code == 2
+    assert "values[0]: number must be finite" in err
+
+
 # --- edit -------------------------------------------------------------------------
 
 
@@ -321,6 +338,19 @@ def test_metrics_without_ground_truth_prints_two_aggregates(tmp_path, capsys):
     )
     assert code == 0
     assert "gt_con" not in out
+
+
+@pytest.mark.parametrize("ref", ["parts/case00_edited.json", "parts/nul\u0000.json"])
+def test_metrics_unreadable_sidecar_exits_3(tmp_path, capsys, ref):
+    doc = json.loads(read_fixture("metrics", "manifest.json"))
+    doc[0]["edited"] = {"path": ref}
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(doc), encoding="utf-8")  # no sidecar files next to it
+    code, out, err = run_cli(
+        capsys, "metrics", "--manifest", str(manifest), "--out-dir", str(tmp_path / "out")
+    )
+    assert code == 3
+    assert f"cannot read {tmp_path / ref}" in err
 
 
 # --- determinism ------------------------------------------------------------------
