@@ -74,7 +74,7 @@ def array(node, path, *keys, nonempty=False) -> list:
     return node
 
 
-def integer(node, path, *keys, minimum=None) -> int:
+def integer(node, path, *keys, minimum=None, maximum=None) -> int:
     if (
         isinstance(node, bool)
         or not isinstance(node, int)
@@ -82,6 +82,8 @@ def integer(node, path, *keys, minimum=None) -> int:
     ):
         bound = "" if minimum is None else f" >= {minimum}"
         raise ParseError(f"{name(path, *keys)}: expected an integer{bound}, got {node!r}")
+    if maximum is not None and node > maximum:
+        raise ParseError(f"{name(path, *keys)}: expected an integer <= {maximum}, got {node!r}")
     return node
 
 
@@ -123,25 +125,35 @@ def string(node, path, *keys, nonempty=False) -> str:
     return node
 
 
+def finite_floats(column: list) -> list[float] | None:
+    """``column`` as floats when every item is a finite number, else None.
+
+    Whole-list builtins only: a caller that gets None walks the column with
+    :func:`real` to name the first bad item.
+    """
+    if set(map(type, column)) <= _NUMBER_TYPES:
+        try:
+            values = list(map(float, column))
+        except OverflowError:
+            return None
+        # a non-finite item makes the sum non-finite; finite items whose sum
+        # overflows only send the column to the caller's walk
+        if math.isfinite(sum(values)):
+            return values
+    return None
+
+
 def reals(node, path, *keys, nonempty=False, nonneg=False) -> list[float]:
     """An array of finite numbers (non-negative with ``nonneg``) as floats.
 
-    The common all-valid array is checked with whole-array builtins; only
+    The common all-valid array is checked with :func:`finite_floats`; only
     when that fails is each element checked in turn, to name the first bad
     index.
     """
     array(node, path, *keys, nonempty=nonempty)
-    if set(map(type, node)) <= _NUMBER_TYPES:
-        try:
-            values = list(map(float, node))
-        except OverflowError:
-            values = None
-        if (
-            values is not None
-            and all(map(math.isfinite, values))
-            and not (nonneg and values and min(values) < 0.0)
-        ):
-            return values
+    values = finite_floats(node)
+    if values is not None and not (nonneg and values and min(values) < 0.0):
+        return values
     where = name(path, *keys)
     values = []
     for i, item in enumerate(node):

@@ -13,15 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from ._schema import array, fraction, integer, load_json, obj, reals, string
 from .errors import ParseError, ShapeError
-from .pose_model import (
-    BoundingBox,
-    PoseFrame,
-    PoseInstance,
-    PoseVideo,
-    keypoint_bbox,
-)
+from .pose_model import BoundingBox, PoseFrame, PoseVideo, keypoint_bbox
 from .procrustes import (
     KeypointSet,
     SimilarityTransform2D,
@@ -152,31 +148,36 @@ def resample_video(video: PoseVideo, n: int) -> PoseVideo:
     Picked frames are renumbered 0..n-1 so the result stays a valid video
     even when a frame is repeated.  Same-length input is returned unchanged.
     """
-    if not video.frames:
+    frame_count = len(video.frame_index)
+    if not frame_count:
         raise ShapeError("cannot resample a video with no frames")
-    if n == len(video.frames):
+    if n == frame_count:
         return video
-    picks = resample_indices(len(video.frames), n)
-    frames = tuple(
-        PoseFrame(frame_index=j, instances=video.frames[idx].instances)
-        for j, idx in enumerate(picks)
-    )
-    return PoseVideo(
-        width=video.width,
-        height=video.height,
-        skeleton=video.skeleton,
-        frames=frames,
-        label=video.label,
+    picks = np.array(resample_indices(frame_count, n), dtype=np.int64)
+    counts = np.diff(video.offsets)[picks]
+    offsets = np.cumsum(np.concatenate(([0], counts)))
+    # row r of the result is row r - offsets[j] + video.offsets[picks[j]]
+    # of the input, for the picked frame j it falls in
+    rows = np.repeat(video.offsets[picks] - offsets[:-1], counts) + np.arange(offsets[-1])
+    return video._replace(
+        frame_index=np.arange(n, dtype=np.int64),
+        offsets=offsets,
+        instance_id=video.instance_id[rows],
+        xy=video.xy[rows],
+        visible=video.visible[rows],
+        confidence=video.confidence[rows],
     )
 
 
 def _single_instance_or_raise(video: PoseVideo) -> None:
-    for frame in video.frames:
-        if len(frame.instances) != 1:
-            raise ShapeError(
-                f"retrieved video must have exactly 1 instance per frame; "
-                f"frame {frame.frame_index} has {len(frame.instances)}"
-            )
+    counts = np.diff(video.offsets)
+    bad = np.flatnonzero(counts != 1)
+    if bad.size:
+        k = bad[0]
+        raise ShapeError(
+            f"retrieved video must have exactly 1 instance per frame; "
+            f"frame {video.frame_index[k]} has {counts[k]}"
+        )
 
 
 def alignment_transforms(
@@ -186,27 +187,31 @@ def alignment_transforms(
     first-frame keypoints onto that instance's source first-frame keypoints."""
     if not assignment.pairs:
         return {}
-    if not source.frames:
+    if not len(source.frame_index):
         raise ValueError("source video has no frames")
-    if not retrieved.frames:
+    if not len(retrieved.frame_index):
         raise ShapeError("retrieved video has no frames")
     _single_instance_or_raise(retrieved)
-    first = source.frames[0]
-    by_id = {inst.instance_id: inst for inst in first.instances}
-    moving = KeypointSet.from_instance(retrieved.frames[0].instances[0])
+    first_ids = source.instance_id[: source.offsets[1]].tolist()
+    first = {inst_id: row for row, inst_id in enumerate(first_ids)}  # id -> row
+    moving = KeypointSet(points=retrieved.xy[0], mask=retrieved.visible[0])
     out = {}
     for _, inst_id in assignment.pairs:
-        if inst_id not in by_id:
+        if inst_id not in first:
             raise ValueError(
                 f"assignment names instance_id {inst_id}, not present in the source first frame"
             )
-        fixed = KeypointSet.from_instance(by_id[inst_id])
+        row = first[inst_id]
+        fixed = KeypointSet(points=source.xy[row], mask=source.visible[row])
         out[inst_id] = solve_similarity(fixed, moving)
     return out
 
 
 def edit_pose_video(
-    source: PoseVideo, assignment: Assignment, retrieved: PoseVideo
+    source: PoseVideo,
+    assignment: Assignment,
+    retrieved: PoseVideo,
+    transforms: dict[int, SimilarityTransform2D] | None = None,
 ) -> PoseVideo:
     """Replace each matched instance with the aligned retrieved clip.
 
@@ -214,36 +219,29 @@ def edit_pose_video(
     to every retrieved frame; the retrieved clip is resampled to the source
     frame count by nearest index before substitution.  Instances outside the
     assignment keep their keypoints untouched, and the output always has the
-    source's frame count and frame indices.
+    source's frame count and frame indices.  ``transforms``, when given, is
+    what :func:`alignment_transforms` returns for the same arguments, so a
+    caller that needs the transforms too solves them only once.
     """
     if not assignment.pairs:
         return source
+    if transforms is None:
+        transforms = alignment_transforms(source, assignment, retrieved)
+    _single_instance_or_raise(retrieved)  # so row k of a donor is its frame k
 
-    transforms = alignment_transforms(source, assignment, retrieved)
-    replacement = {}
+    frame_count = len(source.frame_index)
+    frame_of_row = np.repeat(np.arange(frame_count), np.diff(source.offsets))
+    xy = source.xy.copy()
+    visible = source.visible.copy()
+    confidence = source.confidence.copy()
     for inst_id, tr in transforms.items():
-        aligned = apply_transform(tr, retrieved)
-        replacement[inst_id] = resample_video(aligned, len(source.frames))
-
-    frames = []
-    for k, frame in enumerate(source.frames):
-        instances = []
-        for inst in frame.instances:
-            if inst.instance_id in replacement:
-                donor = replacement[inst.instance_id].frames[k].instances[0]
-                instances.append(
-                    PoseInstance(instance_id=inst.instance_id, keypoints=donor.keypoints)
-                )
-            else:
-                instances.append(inst)
-        frames.append(PoseFrame(frame_index=frame.frame_index, instances=tuple(instances)))
-    return PoseVideo(
-        width=source.width,
-        height=source.height,
-        skeleton=source.skeleton,
-        frames=tuple(frames),
-        label=source.label,
-    )
+        donor = resample_video(apply_transform(tr, retrieved), frame_count)
+        rows = np.flatnonzero(source.instance_id == inst_id)
+        picks = frame_of_row[rows]
+        xy[rows] = donor.xy[picks]
+        visible[rows] = donor.visible[picks]
+        confidence[rows] = donor.confidence[picks]
+    return source._replace(xy=xy, visible=visible, confidence=confidence)
 
 
 def out_of_bounds_detections(

@@ -261,8 +261,14 @@ def run_edit(config: PipelineConfig) -> dict:
     db = build_index(entries)
     q = _embed_answer(config, answer)
 
-    if not source.frames:
+    if not len(source.frame_index):
         raise StageError("source video has no frames")
+    first_index = int(source.frame_index[0])
+    if dset.frame_index != first_index:
+        raise StageError(
+            f"detections are for frame_index {dset.frame_index}, but the source "
+            f"starts at frame_index {first_index}"
+        )
     working = resample_video(source, config.frame_count)
     assignment = assign_detections(dset, working.frames[0], config.iou_threshold)
 
@@ -278,8 +284,8 @@ def run_edit(config: PipelineConfig) -> dict:
         if not os.path.isabs(video_path):
             video_path = os.path.join(db_dir, video_path)
         retrieved = parse_pose_video(_read(video_path))
-        edited = edit_pose_video(working, assignment, retrieved)
         transforms = alignment_transforms(working, assignment, retrieved)
+        edited = edit_pose_video(working, assignment, retrieved, transforms)
         out_name = "edited.json" if len(ranked) == 1 else f"edited_{i + 1:02d}.json"
         names.append(_write(out_dir, out_name, serialize_pose_video(edited)))
         per_entry.append(

@@ -19,6 +19,26 @@ JSON document:
       "label": "dance"          // optional
     }
 
+In memory a :class:`PoseVideo` holds the whole clip as read-only arrays.
+There is one row per person per frame, frames in order and people in
+document order within a frame, so frames may hold different numbers of
+people.  With F frames, N rows and J skeleton joints:
+
+    frame_index  (F,)       int64    strictly increasing
+    offsets      (F+1,)     int64    frame k owns rows offsets[k]:offsets[k+1]
+    instance_id  (N,)       int64    unique within a frame
+    xy           (N, J, 2)  float64  pixel coordinates
+    visible      (N, J)     bool
+    confidence   (N, J)     float64  in [0, 1]
+
+Parsing, transforms, resampling, substitution and serialization all work on
+these arrays.  :class:`PoseFrame`, :class:`PoseInstance` and
+:class:`Keypoint` objects are views for callers that want one object per
+frame, person or joint: ``video.frames`` is built on first access, and an
+instance's ``keypoints`` tuple only when it is asked for.  The constructors
+still take those objects, so hand-built videos work as before, and ``==``
+compares values.
+
 Serialization is canonical so that golden-file tests are byte-exact across
 platforms: object keys sorted, coordinates and confidences rendered as fixed
 6-decimal strings, everything on one line, newline-terminated.  Structurally
@@ -36,8 +56,22 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter, lt
 
-from ._schema import array, boolean, fraction, integer, load_json, obj, real, string
+import numpy as np
+
+from ._schema import (
+    array,
+    boolean,
+    finite_floats,
+    fraction,
+    integer,
+    load_json,
+    obj,
+    real,
+    string,
+)
 from .errors import GeometryError, ParseError
 
 COCO_17_JOINTS = (
@@ -60,6 +94,9 @@ COCO_17_JOINTS = (
     "right_ankle",
 )
 
+# frame indices and instance ids are stored as int64
+_INDEX_MAX = 2**63 - 1
+
 
 @dataclass(frozen=True)
 class Keypoint:
@@ -77,64 +114,205 @@ class Keypoint:
             raise ValueError(f"confidence must be in [0, 1], got {self.confidence}")
 
 
-@dataclass(frozen=True)
-class PoseInstance:
-    """A single person's keypoints within one frame."""
+class _Record:
+    """An immutable value: each field is set once, through ``_set``, which
+    also makes array fields read-only; two records are equal when every name
+    in ``_fields`` holds equal values (arrays compared element by element)."""
 
-    instance_id: int
-    keypoints: tuple[Keypoint, ...]
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "keypoints", tuple(self.keypoints))
-        if self.instance_id < 0:
+    def _set(self, **fields):
+        for key, value in fields.items():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            object.__setattr__(self, key, value)
+
+    def __setattr__(self, key, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, key):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        for key in self._fields:
+            mine, theirs = getattr(self, key), getattr(other, key)
+            if isinstance(mine, np.ndarray):
+                if not np.array_equal(mine, theirs):
+                    return False
+            elif mine != theirs:
+                return False
+        return True
+
+    __hash__ = None
+
+
+class PoseInstance(_Record):
+    """A single person's keypoints within one frame.
+
+    ``xy`` (J, 2), ``visible`` (J,) and ``confidence`` (J,) are read-only
+    arrays.  ``keypoints`` gives the same data as :class:`Keypoint` objects;
+    for an instance taken from a :class:`PoseVideo` they are built on first
+    use.
+    """
+
+    __slots__ = ("instance_id", "xy", "visible", "confidence", "_keypoints")
+    _fields = ("instance_id", "xy", "visible", "confidence")
+
+    def __init__(self, instance_id: int, keypoints):
+        keypoints = tuple(keypoints)
+        if instance_id < 0:
             raise ValueError("instance_id must be non-negative")
+        self._set(
+            instance_id=instance_id,
+            xy=np.array([(kp.x, kp.y) for kp in keypoints], dtype=np.float64).reshape(-1, 2),
+            visible=np.array([kp.visible for kp in keypoints], dtype=bool),
+            confidence=np.array([kp.confidence for kp in keypoints], dtype=np.float64),
+            _keypoints=keypoints,
+        )
+
+    @classmethod
+    def _view(cls, instance_id, xy, visible, confidence) -> "PoseInstance":
+        """An instance over one row of a video's arrays; no keypoint objects."""
+        inst = cls.__new__(cls)
+        # direct stores: a video's frames build one view per row
+        setattr_ = object.__setattr__
+        setattr_(inst, "instance_id", instance_id)
+        setattr_(inst, "xy", xy)
+        setattr_(inst, "visible", visible)
+        setattr_(inst, "confidence", confidence)
+        setattr_(inst, "_keypoints", None)
+        return inst
+
+    @property
+    def keypoints(self) -> tuple[Keypoint, ...]:
+        if self._keypoints is None:
+            keypoints = tuple(
+                map(
+                    Keypoint,
+                    self.xy[:, 0].tolist(),
+                    self.xy[:, 1].tolist(),
+                    self.visible.tolist(),
+                    self.confidence.tolist(),
+                )
+            )
+            object.__setattr__(self, "_keypoints", keypoints)
+        return self._keypoints
+
+    def __repr__(self):
+        return f"PoseInstance(instance_id={self.instance_id!r}, keypoints={self.keypoints!r})"
 
 
-@dataclass(frozen=True)
-class PoseFrame:
+class PoseFrame(_Record):
     """All person instances present at one frame index."""
 
-    frame_index: int
-    instances: tuple[PoseInstance, ...]
+    __slots__ = _fields = ("frame_index", "instances")
 
-    def __post_init__(self):
-        object.__setattr__(self, "instances", tuple(self.instances))
-        if self.frame_index < 0:
+    def __init__(self, frame_index: int, instances):
+        instances = tuple(instances)
+        if frame_index < 0:
             raise ValueError("frame_index must be non-negative")
-        ids = [inst.instance_id for inst in self.instances]
+        ids = [inst.instance_id for inst in instances]
         if len(set(ids)) != len(ids):
             raise ValueError("instance_id values must be unique within a frame")
+        self._set(frame_index=frame_index, instances=instances)
+
+    def __repr__(self):
+        return f"PoseFrame(frame_index={self.frame_index!r}, instances={self.instances!r})"
 
 
-@dataclass(frozen=True)
-class PoseVideo:
-    """An ordered pose-keypoint clip with a shared skeleton."""
+_COLUMNS = ("frame_index", "offsets", "instance_id", "xy", "visible", "confidence")
 
-    width: int
-    height: int
-    skeleton: tuple[str, ...]
-    frames: tuple[PoseFrame, ...]
-    label: str | None = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "skeleton", tuple(self.skeleton))
-        object.__setattr__(self, "frames", tuple(self.frames))
-        if self.width <= 0 or self.height <= 0:
+class PoseVideo(_Record):
+    """An ordered pose-keypoint clip with a shared skeleton.
+
+    The clip is held as the arrays the module docstring lays out;
+    ``frames`` is a tuple of :class:`PoseFrame` views built on first access.
+    """
+
+    __slots__ = ("width", "height", "skeleton", "label", *_COLUMNS, "_frames")
+    _fields = ("width", "height", "skeleton", "label", *_COLUMNS)
+
+    def __init__(self, width: int, height: int, skeleton, frames, label: str | None = None):
+        skeleton = tuple(skeleton)
+        frames = tuple(frames)
+        if width <= 0 or height <= 0:
             raise ValueError("width and height must be positive")
-        if not self.skeleton:
+        if not skeleton:
             raise ValueError("skeleton must name at least one joint")
-        joints = len(self.skeleton)
-        for frame in self.frames:
+        joints = len(skeleton)
+        for frame in frames:
             for inst in frame.instances:
-                if len(inst.keypoints) != joints:
+                if len(inst.xy) != joints:
                     raise ValueError(
                         f"instance {inst.instance_id} in frame {frame.frame_index} "
-                        f"has {len(inst.keypoints)} keypoints, skeleton has {joints}"
+                        f"has {len(inst.xy)} keypoints, skeleton has {joints}"
                     )
-        indices = [f.frame_index for f in self.frames]
+        indices = [f.frame_index for f in frames]
         for prev, cur in zip(indices, indices[1:]):
             if cur <= prev:
                 raise ValueError("frame_index must be strictly increasing")
+        rows = [inst for frame in frames for inst in frame.instances]
+        self._set(
+            width=width,
+            height=height,
+            skeleton=skeleton,
+            label=label,
+            frame_index=np.array(indices, dtype=np.int64),
+            offsets=np.cumsum([0] + [len(f.instances) for f in frames]),
+            instance_id=np.array([i.instance_id for i in rows], dtype=np.int64),
+            xy=np.array([i.xy for i in rows], dtype=np.float64).reshape(-1, joints, 2),
+            visible=np.array([i.visible for i in rows], dtype=bool).reshape(-1, joints),
+            confidence=np.array([i.confidence for i in rows], dtype=np.float64).reshape(
+                -1, joints
+            ),
+            _frames=frames,
+        )
+
+    @classmethod
+    def _build(cls, **fields) -> "PoseVideo":
+        """A video straight from its scalars and already-valid arrays
+        (``width``, ``height``, ``skeleton``, ``label`` and every column);
+        the arrays are made read-only, not copied."""
+        video = cls.__new__(cls)
+        video._set(_frames=None, **fields)
+        return video
+
+    def _replace(self, **changes) -> "PoseVideo":
+        """This video with some columns swapped for new valid arrays."""
+        fields = {key: getattr(self, key) for key in self._fields}
+        fields.update(changes)
+        return PoseVideo._build(**fields)
+
+    @property
+    def frames(self) -> tuple[PoseFrame, ...]:
+        if self._frames is None:
+            rows = list(
+                map(
+                    PoseInstance._view,
+                    self.instance_id.tolist(),
+                    self.xy,
+                    self.visible,
+                    self.confidence,
+                )
+            )
+            bounds = self.offsets.tolist()
+            frames = tuple(
+                PoseFrame(k, rows[a:b])
+                for k, a, b in zip(self.frame_index.tolist(), bounds, bounds[1:])
+            )
+            object.__setattr__(self, "_frames", frames)
+        return self._frames
+
+    def __repr__(self):
+        return (
+            f"PoseVideo(width={self.width!r}, height={self.height!r}, "
+            f"skeleton={self.skeleton!r}, frames=<{len(self.frame_index)} frames, "
+            f"{len(self.instance_id)} instances>, label={self.label!r})"
+        )
 
 
 @dataclass(frozen=True)
@@ -161,33 +339,147 @@ def keypoint_bbox(instance: PoseInstance) -> BoundingBox:
     Invisible keypoints are ignored; no padding is applied.  Raises
     :class:`GeometryError` when the instance has no visible keypoint.
     """
-    xs = [kp.x for kp in instance.keypoints if kp.visible]
-    ys = [kp.y for kp in instance.keypoints if kp.visible]
-    if not xs:
+    points = instance.xy[instance.visible]
+    if not len(points):
         raise GeometryError(
             f"instance {instance.instance_id} has no visible keypoints"
         )
-    return BoundingBox(min(xs), min(ys), max(xs), max(ys))
+    (x_min, y_min), (x_max, y_max) = points.min(axis=0).tolist(), points.max(axis=0).tolist()
+    return BoundingBox(x_min, y_min, x_max, y_max)
 
 
 def out_of_frame_indices(video: PoseVideo) -> tuple[tuple[int, int, int], ...]:
     """Visible keypoints lying outside ``[0, width] x [0, height]``.
 
-    Returns ``(frame_index, instance_id, joint_index)`` triples; an empty
-    tuple means every visible keypoint is inside the frame rectangle.
+    Returns ``(frame_index, instance_id, joint_index)`` triples in frame,
+    instance and joint order; an empty tuple means every visible keypoint is
+    inside the frame rectangle.
     """
-    flagged = []
-    for frame in video.frames:
-        for inst in frame.instances:
-            for j, kp in enumerate(inst.keypoints):
-                if not kp.visible:
-                    continue
-                if not (0.0 <= kp.x <= video.width and 0.0 <= kp.y <= video.height):
-                    flagged.append((frame.frame_index, inst.instance_id, j))
-    return tuple(flagged)
+    x, y = video.xy[..., 0], video.xy[..., 1]
+    inside = (0.0 <= x) & (x <= video.width) & (0.0 <= y) & (y <= video.height)
+    rows, joints = np.nonzero(video.visible & ~inside)
+    frame_of_row = np.repeat(video.frame_index, np.diff(video.offsets))
+    return tuple(
+        zip(frame_of_row[rows].tolist(), video.instance_id[rows].tolist(), joints.tolist())
+    )
 
 
 # --- parsing -----------------------------------------------------------------
+
+_KEYPOINT_FIELDS = ("x", "y", "visible", "confidence")
+
+
+def _indices(values: list) -> bool:
+    """Every item an integer in [0, _INDEX_MAX]; JSON gives no int subclass
+    but bool, which the exact type test excludes."""
+    return set(map(type, values)) <= {int} and (
+        not values or (min(values) >= 0 and max(values) <= _INDEX_MAX)
+    )
+
+
+def _columns(frames: list, joints: int):
+    """The column lists of a frames array, checked a whole column at a time;
+    None when any check fails.
+
+    Accepts exactly what :func:`_walk` accepts.  Returns ``(frame_index,
+    counts, instance_id, x, y, visible, confidence)``: per frame, its index
+    and number of instances; per instance, its id; per keypoint, its fields.
+    """
+    if not all(type(f) is dict and len(f) == 2 for f in frames):
+        return None
+    try:
+        frame_index = list(map(itemgetter("frame_index"), frames))
+        per_frame = list(map(itemgetter("instances"), frames))
+    except KeyError:
+        return None
+    if not (_indices(frame_index) and all(map(lt, frame_index, frame_index[1:]))):
+        return None
+    if not set(map(type, per_frame)) <= {list}:
+        return None
+    counts = list(map(len, per_frame))
+    instances = list(chain.from_iterable(per_frame))
+    if not (set(map(type, instances)) <= {dict} and set(map(len, instances)) <= {2}):
+        return None
+    try:
+        ids = list(map(itemgetter("instance_id"), instances))
+        per_instance = list(map(itemgetter("keypoints"), instances))
+    except KeyError:
+        return None
+    if not _indices(ids):
+        return None
+    start = 0
+    for count in counts:
+        if len(set(ids[start:start + count])) != count:
+            return None
+        start += count
+    if not (set(map(type, per_instance)) <= {list} and set(map(len, per_instance)) <= {joints}):
+        return None
+    keypoints = list(chain.from_iterable(per_instance))
+    if not (set(map(type, keypoints)) <= {dict} and set(map(len, keypoints)) <= {4}):
+        return None
+    try:  # four fields present in a 4-field object: exactly the schema's fields
+        x, y, visible, confidence = (
+            list(map(itemgetter(key), keypoints)) for key in _KEYPOINT_FIELDS
+        )
+    except KeyError:
+        return None
+    x, y, confidence = finite_floats(x), finite_floats(y), finite_floats(confidence)
+    if (
+        x is None
+        or y is None
+        or confidence is None
+        or not set(map(type, visible)) <= {bool}
+        or (confidence and not (min(confidence) >= 0.0 and max(confidence) <= 1.0))
+    ):
+        return None
+    return frame_index, counts, ids, x, y, visible, confidence
+
+
+def _walk(frames: list, joints: int):
+    """:func:`_columns` node by node in document order, so that the first
+    bad node raises a :class:`ParseError` naming its path."""
+    frame_index, counts, ids = [], [], []
+    x, y, visible, confidence = [], [], [], []
+    for fi, frame_node in enumerate(frames):
+        fpath = f"frames[{fi}]"
+        obj(frame_node, fpath, required=("frame_index", "instances"))
+        index = integer(
+            frame_node["frame_index"], fpath, "frame_index", minimum=0, maximum=_INDEX_MAX
+        )
+        if frame_index and index <= frame_index[-1]:
+            raise ParseError(
+                f"{fpath}.frame_index: must be strictly increasing "
+                f"(got {index} after {frame_index[-1]})"
+            )
+        frame_index.append(index)
+
+        seen_ids = set()
+        inst_nodes = array(frame_node["instances"], fpath, "instances")
+        for ii, inst_node in enumerate(inst_nodes):
+            ipath = f"{fpath}.instances[{ii}]"
+            obj(inst_node, ipath, required=("instance_id", "keypoints"))
+            instance_id = integer(
+                inst_node["instance_id"], ipath, "instance_id", minimum=0, maximum=_INDEX_MAX
+            )
+            if instance_id in seen_ids:
+                raise ParseError(f"{ipath}.instance_id: duplicate id {instance_id}")
+            seen_ids.add(instance_id)
+            ids.append(instance_id)
+
+            kp_list = array(inst_node["keypoints"], ipath, "keypoints")
+            if len(kp_list) != joints:
+                raise ParseError(
+                    f"{ipath}.keypoints: expected {joints} joints, got {len(kp_list)}"
+                )
+            kpath = f"{ipath}.keypoints"
+            for ki, kp in enumerate(kp_list):
+                obj(kp, kpath, ki, required=_KEYPOINT_FIELDS)
+                x.append(real(kp["x"], kpath, ki, "x"))
+                y.append(real(kp["y"], kpath, ki, "y"))
+                visible.append(boolean(kp["visible"], kpath, ki, "visible"))
+                confidence.append(fraction(kp["confidence"], kpath, ki, "confidence"))
+        counts.append(len(inst_nodes))
+    return frame_index, counts, ids, x, y, visible, confidence
 
 
 def parse_pose_video(text: str) -> PoseVideo:
@@ -208,64 +500,43 @@ def parse_pose_video(text: str) -> PoseVideo:
     skeleton = tuple(string(s, "skeleton", i) for i, s in enumerate(skeleton_node))
     label = string(doc["label"], "$", "label") if "label" in doc else None
 
-    frames = []
-    last_index = None
-    for fi, frame_node in enumerate(array(doc["frames"], "$", "frames")):
-        fpath = f"frames[{fi}]"
-        obj(frame_node, fpath, required=("frame_index", "instances"))
-        frame_index = integer(frame_node["frame_index"], fpath, "frame_index", minimum=0)
-        if last_index is not None and frame_index <= last_index:
-            raise ParseError(
-                f"{fpath}.frame_index: must be strictly increasing "
-                f"(got {frame_index} after {last_index})"
-            )
-        last_index = frame_index
-
-        instances = []
-        seen_ids = set()
-        for ii, inst_node in enumerate(array(frame_node["instances"], fpath, "instances")):
-            ipath = f"{fpath}.instances[{ii}]"
-            obj(inst_node, ipath, required=("instance_id", "keypoints"))
-            instance_id = integer(inst_node["instance_id"], ipath, "instance_id", minimum=0)
-            if instance_id in seen_ids:
-                raise ParseError(f"{ipath}.instance_id: duplicate id {instance_id}")
-            seen_ids.add(instance_id)
-
-            kp_list = array(inst_node["keypoints"], ipath, "keypoints")
-            if len(kp_list) != len(skeleton):
-                raise ParseError(
-                    f"{ipath}.keypoints: expected {len(skeleton)} joints, got {len(kp_list)}"
-                )
-            kpath = f"{ipath}.keypoints"
-            keypoints = []
-            for ki, kp in enumerate(kp_list):
-                obj(kp, kpath, ki, required=("x", "y", "visible", "confidence"))
-                keypoints.append(
-                    Keypoint(
-                        x=real(kp["x"], kpath, ki, "x"),
-                        y=real(kp["y"], kpath, ki, "y"),
-                        visible=boolean(kp["visible"], kpath, ki, "visible"),
-                        confidence=fraction(kp["confidence"], kpath, ki, "confidence"),
-                    )
-                )
-            instances.append(PoseInstance(instance_id=instance_id, keypoints=tuple(keypoints)))
-        frames.append(PoseFrame(frame_index=frame_index, instances=tuple(instances)))
-
-    return PoseVideo(
-        width=width, height=height, skeleton=skeleton, frames=tuple(frames), label=label
+    frames = array(doc["frames"], "$", "frames")
+    joints = len(skeleton)
+    columns = _columns(frames, joints)
+    if columns is None:  # some node is bad: walk to the first one
+        columns = _walk(frames, joints)
+    frame_index, counts, ids, x, y, visible, confidence = columns
+    return PoseVideo._build(
+        width=width,
+        height=height,
+        skeleton=skeleton,
+        label=label,
+        frame_index=np.array(frame_index, dtype=np.int64),
+        offsets=np.cumsum([0] + counts),
+        instance_id=np.array(ids, dtype=np.int64),
+        xy=np.column_stack((x, y)).reshape(len(ids), joints, 2),
+        visible=np.array(visible, dtype=bool).reshape(len(ids), joints),
+        confidence=np.array(confidence, dtype=np.float64).reshape(len(ids), joints),
     )
 
 
 # --- canonical serialization --------------------------------------------------
 
+_KEYPOINT = '{"confidence":%.6f,"visible":%s,"x":%.6f,"y":%.6f}'
 
-def _fmt_real(value: float) -> str:
-    out = f"{value:.6f}"
-    # anything rounding to zero loses its sign, else -0.000000 breaks
-    # the parse/serialize fixed point
-    if out == "-0.000000":
-        return "0.000000"
-    return out
+
+def _signless(values: np.ndarray) -> np.ndarray:
+    """``values`` with 0.0 for every entry that would print as -0.000000,
+    which would break the parse/serialize fixed point."""
+    near = np.flatnonzero(np.signbit(values) & (values > -1e-6))
+    if not near.size:
+        return values
+    values = values.copy()
+    flat = values.reshape(-1)
+    for i in near.tolist():
+        if "%.6f" % flat[i] == "-0.000000":
+            flat[i] = 0.0
+    return values
 
 
 def serialize_pose_video(video: PoseVideo) -> str:
@@ -275,30 +546,24 @@ def serialize_pose_video(video: PoseVideo) -> str:
     one line, newline-terminated.  ``parse_pose_video(serialize_pose_video(v))``
     equals ``v`` whenever v's coordinates are representable at 6 decimals.
     """
-    out = ['{"frames":[']
-    for fi, frame in enumerate(video.frames):
-        if fi:
-            out.append(",")
-        out.append('{"frame_index":%d,"instances":[' % frame.frame_index)
-        for ii, inst in enumerate(frame.instances):
-            if ii:
-                out.append(",")
-            out.append('{"instance_id":%d,"keypoints":[' % inst.instance_id)
-            for ki, kp in enumerate(inst.keypoints):
-                if ki:
-                    out.append(",")
-                out.append(
-                    '{"confidence":%s,"visible":%s,"x":%s,"y":%s}'
-                    % (
-                        _fmt_real(kp.confidence),
-                        "true" if kp.visible else "false",
-                        _fmt_real(kp.x),
-                        _fmt_real(kp.y),
-                    )
-                )
-            out.append("]}")
-        out.append("]}")
-    out.append('],"height":%d,' % video.height)
+    rows, joints = video.visible.shape
+    instance = '{"instance_id":%d,"keypoints":[' + ",".join([_KEYPOINT] * joints) + "]}"
+    cells = np.empty((rows, joints, 4), dtype=object)
+    cells[..., 0] = _signless(video.confidence)
+    cells[..., 1] = np.where(video.visible, "true", "false")
+    cells[..., 2:] = _signless(video.xy)
+    instances = [
+        instance % (instance_id, *values)
+        for instance_id, values in zip(
+            video.instance_id.tolist(), cells.reshape(rows, 4 * joints).tolist()
+        )
+    ]
+    bounds = video.offsets.tolist()
+    frames = ",".join(
+        '{"frame_index":%d,"instances":[%s]}' % (k, ",".join(instances[a:b]))
+        for k, a, b in zip(video.frame_index.tolist(), bounds, bounds[1:])
+    )
+    out = ['{"frames":[', frames, '],"height":%d,' % video.height]
     if video.label is not None:
         out.append('"label":%s,' % json.dumps(video.label))
     out.append('"skeleton":[')

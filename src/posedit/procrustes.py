@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeometryError, ShapeError
-from .pose_model import Keypoint, PoseFrame, PoseInstance, PoseVideo
+from .pose_model import PoseInstance, PoseVideo
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,10 +56,7 @@ class KeypointSet:
     @classmethod
     def from_instance(cls, instance: PoseInstance) -> "KeypointSet":
         """Coordinates of every keypoint; mask = the visibility flags."""
-        return cls(
-            points=[(kp.x, kp.y) for kp in instance.keypoints],
-            mask=[kp.visible for kp in instance.keypoints],
-        )
+        return cls(points=instance.xy, mask=instance.visible)
 
 
 @dataclass(frozen=True)
@@ -172,34 +169,17 @@ def apply_transform(tr: SimilarityTransform2D, video: PoseVideo) -> PoseVideo:
     Invisible keypoints keep their stored coordinates untouched (geometry
     operations ignore them, so transforming would only manufacture data).
     Visibility flags, confidences, instance ids, and frame indices are
-    preserved.
+    preserved.  Raises :class:`GeometryError` when a mapped coordinate
+    overflows to infinity.
     """
-    frames = []
-    for frame in video.frames:
-        instances = []
-        for inst in frame.instances:
-            keypoints = []
-            for kp in inst.keypoints:
-                if kp.visible:
-                    mapped = tr.apply(np.array([[kp.x, kp.y]]))[0]
-                    keypoints.append(
-                        Keypoint(
-                            x=float(mapped[0]),
-                            y=float(mapped[1]),
-                            visible=True,
-                            confidence=kp.confidence,
-                        )
-                    )
-                else:
-                    keypoints.append(kp)
-            instances.append(
-                PoseInstance(instance_id=inst.instance_id, keypoints=tuple(keypoints))
-            )
-        frames.append(PoseFrame(frame_index=frame.frame_index, instances=tuple(instances)))
-    return PoseVideo(
-        width=video.width,
-        height=video.height,
-        skeleton=video.skeleton,
-        frames=tuple(frames),
-        label=video.label,
+    points = video.xy[video.visible]
+    # one 1x2 @ 2x2 product per point, as tr.apply(point[None]) computes it:
+    # a single (n, 2) @ (2, 2) product or written-out terms round differently
+    mapped = ((tr.scale * points)[:, None, :] @ tr.rotation().T)[:, 0, :] + np.asarray(
+        tr.translation
     )
+    if not np.isfinite(mapped).all():
+        raise GeometryError("aligned keypoint coordinates overflow the float range")
+    xy = video.xy.copy()
+    xy[video.visible] = mapped
+    return video._replace(xy=xy)

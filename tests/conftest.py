@@ -1,7 +1,9 @@
 import os
 
 import pytest
-from hypothesis import HealthCheck, settings
+from hypothesis import HealthCheck, settings, strategies as st
+
+from posedit import Keypoint, PoseFrame, PoseInstance, PoseVideo
 
 settings.register_profile(
     "suite",
@@ -27,3 +29,51 @@ def fixture_path(*parts: str) -> str:
 def read_fixture(*parts: str) -> str:
     with open(fixture_path(*parts), "r", encoding="utf-8") as fh:
         return fh.read()
+
+
+# coordinates and confidences that print exactly at six decimals, so a
+# serialize/parse round trip gives back equal values
+EXACT_COORDINATES = st.integers(min_value=-64000, max_value=64000).map(lambda k: k / 64)
+ANY_COORDINATES = st.floats(min_value=-1000.0, max_value=1000.0, allow_nan=False)
+EXACT_CONFIDENCES = st.integers(min_value=0, max_value=64).map(lambda k: k / 64)
+
+
+@st.composite
+def ragged_videos(
+    draw, joints=None, min_frames=0, people=(0, 3), coordinates=EXACT_COORDINATES
+):
+    """Videos of 0-4 frames holding ``people`` persons each, drawn per frame
+    from a pool of non-contiguous ids, so a person can miss some frames."""
+    if joints is None:
+        joints = draw(st.integers(min_value=1, max_value=4))
+    pool = draw(st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=5,
+                         unique=True))
+    indices = draw(st.sets(st.integers(min_value=0, max_value=60), min_size=min_frames,
+                           max_size=4))
+    frames = []
+    for index in sorted(indices):
+        ids = draw(st.lists(st.sampled_from(pool), min_size=people[0],
+                            max_size=min(people[1], len(pool)), unique=True))
+        instances = [
+            PoseInstance(
+                instance_id,
+                [
+                    Keypoint(
+                        x=draw(coordinates),
+                        y=draw(coordinates),
+                        visible=draw(st.booleans()),
+                        confidence=draw(EXACT_CONFIDENCES),
+                    )
+                    for _ in range(joints)
+                ],
+            )
+            for instance_id in ids
+        ]
+        frames.append(PoseFrame(index, instances))
+    return PoseVideo(
+        width=draw(st.integers(min_value=1, max_value=2000)),
+        height=draw(st.integers(min_value=1, max_value=2000)),
+        skeleton=tuple(f"j{i}" for i in range(joints)),
+        frames=frames,
+        label=draw(st.one_of(st.none(), st.text(max_size=4))),
+    )

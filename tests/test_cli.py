@@ -88,6 +88,29 @@ def test_align_degenerate_geometry_exits_3(tmp_path, capsys):
     assert err.startswith("error: ")
 
 
+def test_align_overflowing_clip_exits_3(tmp_path, capsys):
+    def clip(*frames):
+        return {"width": 10, "height": 10, "skeleton": ["a", "b", "c"], "frames": [
+            {"frame_index": i, "instances": [{"instance_id": 0, "keypoints": [
+                {"x": x, "y": y, "visible": True, "confidence": 1.0} for x, y in points
+            ]}]}
+            for i, points in enumerate(frames)
+        ]}
+
+    fixed, moving = tmp_path / "fixed.json", tmp_path / "moving.json"
+    fixed.write_text(json.dumps(clip([(0, 0), (1e300, 0), (0, 1e300)])), encoding="utf-8")
+    # scale 1e300 carries the second frame's 1e10 past the float range
+    moving.write_text(
+        json.dumps(clip([(0, 0), (1, 0), (0, 1)], [(1e10, 0), (1, 0), (0, 1)])),
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(
+        capsys, "align", str(fixed), str(moving), "--out-dir", str(tmp_path / "out")
+    )
+    assert code == 3
+    assert "overflow" in err
+
+
 def test_align_missing_out_dir_exits_3(capsys):
     code, out, err = run_cli(
         capsys,
@@ -224,6 +247,19 @@ def test_edit_missing_source_exits_3(tmp_path, capsys):
     code, out, err = run_cli(capsys, *argv)
     assert code == 3
     assert "supply --source" in err
+
+
+def test_edit_detections_for_another_frame_exit_3(tmp_path, capsys):
+    detections = json.loads(read_fixture("e2e_girl_dance", "detections.json"))
+    detections["frame_index"] = 7
+    path = tmp_path / "detections.json"
+    path.write_text(json.dumps(detections), encoding="utf-8")
+    argv = edit_flags("e2e_girl_dance", tmp_path / "out")
+    argv[argv.index("--detections") + 1] = str(path)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert "frame_index 7" in err and "frame_index 0" in err
+    assert not os.path.exists(tmp_path / "out")
 
 
 def test_edit_bad_iou_threshold_exits_2(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -16,6 +17,9 @@ from posedit import (
     PoseInstance,
     PoseVideo,
     ShapeError,
+    SimilarityTransform2D,
+    alignment_transforms,
+    apply_transform,
     assign_detections,
     edit_pose_video,
     iou,
@@ -25,7 +29,7 @@ from posedit import (
     resample_indices,
     resample_video,
 )
-from conftest import read_fixture
+from conftest import ANY_COORDINATES, ragged_videos, read_fixture
 from oracles import greedy_pairs_by_rescan
 
 
@@ -327,3 +331,119 @@ def test_out_of_bounds_detections_flags_escaping_boxes():
     outside = det("out", box(-5, 10, 20, 20))
     dset = DetectionSet(frame_index=0, detections=(inside, outside))
     assert out_of_bounds_detections(dset, 100, 100) == (1,)
+
+
+# --- array code against per-keypoint references ------------------------------------
+# The references build one object per keypoint and map each visible point
+# with its own tr.apply(point[None]); the array code must agree bit for bit.
+
+
+def apply_per_keypoint(tr, video):
+    frames = []
+    for frame in video.frames:
+        instances = []
+        for inst in frame.instances:
+            keypoints = []
+            for kp in inst.keypoints:
+                if kp.visible:
+                    x, y = tr.apply(np.array([[kp.x, kp.y]]))[0]
+                    kp = Keypoint(x=float(x), y=float(y), visible=True, confidence=kp.confidence)
+                keypoints.append(kp)
+            instances.append(PoseInstance(inst.instance_id, keypoints))
+        frames.append(PoseFrame(frame.frame_index, instances))
+    return PoseVideo(video.width, video.height, video.skeleton, frames, video.label)
+
+
+def resample_per_frame(video, n):
+    if n == len(video.frames):
+        return video
+    picks = resample_indices(len(video.frames), n)
+    frames = [PoseFrame(j, video.frames[picks[j]].instances) for j in range(n)]
+    return PoseVideo(video.width, video.height, video.skeleton, frames, video.label)
+
+
+def edit_per_keypoint(source, transforms, retrieved):
+    """Each instance with an id in ``transforms`` takes, in every source
+    frame, the aligned keypoints of the retrieved frame picked for it."""
+    aligned = {
+        inst_id: resample_per_frame(apply_per_keypoint(tr, retrieved), len(source.frames))
+        for inst_id, tr in transforms.items()
+    }
+    frames = []
+    for k, frame in enumerate(source.frames):
+        instances = []
+        for inst in frame.instances:
+            if inst.instance_id in aligned:
+                donor = aligned[inst.instance_id].frames[k].instances[0]
+                inst = PoseInstance(inst.instance_id, donor.keypoints)
+            instances.append(inst)
+        frames.append(PoseFrame(frame.frame_index, instances))
+    return PoseVideo(source.width, source.height, source.skeleton, frames, source.label)
+
+
+def assert_same_bits(got, want):
+    assert got == want
+    for column in ("frame_index", "offsets", "instance_id", "xy", "visible", "confidence"):
+        a, b = getattr(got, column), getattr(want, column)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), column
+
+
+similarity_transforms = st.builds(
+    SimilarityTransform2D,
+    scale=st.floats(min_value=0.05, max_value=20.0),
+    theta=st.floats(min_value=-math.pi, max_value=math.pi),
+    translation=st.tuples(
+        st.floats(min_value=-500.0, max_value=500.0),
+        st.floats(min_value=-500.0, max_value=500.0),
+    ),
+)
+
+
+@given(ragged_videos(coordinates=ANY_COORDINATES), similarity_transforms)
+def test_apply_transform_matches_the_per_keypoint_reference(video, tr):
+    assert_same_bits(apply_transform(tr, video), apply_per_keypoint(tr, video))
+
+
+@given(ragged_videos(min_frames=1, coordinates=ANY_COORDINATES), st.integers(1, 9))
+def test_resample_video_matches_the_per_frame_reference(video, n):
+    assert_same_bits(resample_video(video, n), resample_per_frame(video, n))
+
+
+def test_resample_video_rejects_a_video_without_frames():
+    with pytest.raises(ShapeError):
+        resample_video(PoseVideo(width=1, height=1, skeleton=("a",), frames=()), 3)
+
+
+@given(ragged_videos(min_frames=1, coordinates=ANY_COORDINATES), st.data())
+def test_edit_matches_the_per_keypoint_reference(source, data):
+    retrieved = data.draw(
+        ragged_videos(
+            joints=len(source.skeleton),
+            min_frames=1,
+            people=(1, 1),
+            coordinates=ANY_COORDINATES,
+        )
+    )
+    first_ids = [inst.instance_id for inst in source.frames[0].instances]
+    matched = data.draw(st.lists(st.sampled_from(first_ids), unique=True)) if first_ids else []
+    assignment = Assignment(
+        pairs=tuple(enumerate(matched)),
+        unmatched_detections=(),
+        unmatched_instances=tuple(i for i in first_ids if i not in matched),
+    )
+    transforms = {inst_id: data.draw(similarity_transforms) for inst_id in matched}
+    assert_same_bits(
+        edit_pose_video(source, assignment, retrieved, transforms),
+        edit_per_keypoint(source, transforms, retrieved),
+    )
+    # and with the transforms solved inside
+    try:
+        solved = alignment_transforms(source, assignment, retrieved)
+    except GeometryError:
+        with pytest.raises(GeometryError):
+            edit_pose_video(source, assignment, retrieved)
+    else:
+        assert_same_bits(
+            edit_pose_video(source, assignment, retrieved),
+            edit_per_keypoint(source, solved, retrieved),
+        )

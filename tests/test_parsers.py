@@ -80,6 +80,17 @@ def test_out_of_range_number_is_a_parse_error(parser, literal):
         PARSERS[parser](template.replace("NUM", literal))
 
 
+def test_finite_numbers_whose_sum_overflows_are_accepted():
+    # the whole-column check sums the column; the walk must then accept it
+    assert list(parse_embedding('{"dim": 2, "values": [1e308, 1e308]}').values) == [1e308] * 2
+    doc = json.loads(TEMPLATES["pose_video"].replace("NUM", "1e308"))
+    doc["skeleton"].append("b")
+    doc["frames"][0]["instances"][0]["keypoints"].append(
+        {"x": 1e308, "y": 0, "visible": True, "confidence": 1}
+    )
+    assert parse_pose_video(json.dumps(doc)).xy[0, :, 0].tolist() == [1e308] * 2
+
+
 def test_parse_errors_name_the_offending_node():
     doc = TEMPLATES["pose_video"].replace("NUM", '"one"')
     with pytest.raises(ParseError, match=r"^frames\[0\]\.instances\[0\]\.keypoints\[0\]\.x: "):
@@ -91,6 +102,89 @@ def test_parse_errors_name_the_offending_node():
     entries[3]["embedding"][7] = "x"
     with pytest.raises(ParseError, match=r"^\$\[3\]\.embedding\[7\]: "):
         parse_db_manifest(json.dumps(entries))
+
+
+def three_frame_clip():
+    """A valid clip of three frames with people 0 and 3 in each."""
+    def keypoint(x):
+        return {"x": x, "y": 2.5, "visible": True, "confidence": 0.5}
+
+    return {
+        "width": 8,
+        "height": 8,
+        "skeleton": ["a", "b"],
+        "frames": [
+            {
+                "frame_index": f,
+                "instances": [
+                    {"instance_id": i, "keypoints": [keypoint(1.0 + f), keypoint(2.0 + i)]}
+                    for i in (0, 3)
+                ],
+            }
+            for f in (0, 2, 5)
+        ],
+    }
+
+
+def _last_keypoint(doc):
+    return doc["frames"][-1]["instances"][-1]["keypoints"][-1]
+
+
+def _set_last_keypoint(field, value):
+    return lambda doc: _last_keypoint(doc).__setitem__(field, value)
+
+
+LAST = "frames[2].instances[1]"
+
+# each breaks one node of the last frame, past every whole-column check that
+# could let it through: bool is an int subclass, an extra key keeps the
+# required ones, and the frame-level checks of earlier frames all pass
+TRAPS = {
+    "true as x": (
+        _set_last_keypoint("x", True),
+        f"{LAST}.keypoints[1].x: expected a number, got True",
+    ),
+    "1 as visible": (
+        _set_last_keypoint("visible", 1),
+        f"{LAST}.keypoints[1].visible: expected a boolean, got 1",
+    ),
+    "extra keypoint key": (
+        _set_last_keypoint("z", 0.0),
+        f"{LAST}.keypoints[1]: unexpected field 'z'",
+    ),
+    "keypoint not an object": (
+        lambda doc: doc["frames"][-1]["instances"][-1]["keypoints"].__setitem__(-1, [1.0, 2.0]),
+        f"{LAST}.keypoints[1]: expected an object, got list",
+    ),
+    "confidence above 1": (
+        _set_last_keypoint("confidence", 1.5),
+        f"{LAST}.keypoints[1].confidence: must be in [0, 1], got 1.5",
+    ),
+    "duplicate instance_id": (
+        lambda doc: doc["frames"][-1]["instances"][-1].__setitem__("instance_id", 0),
+        f"{LAST}.instance_id: duplicate id 0",
+    ),
+    "non-increasing frame_index": (
+        lambda doc: doc["frames"][-1].__setitem__("frame_index", 2),
+        "frames[2].frame_index: must be strictly increasing (got 2 after 2)",
+    ),
+    "instance_id past int64": (
+        lambda doc: doc["frames"][-1]["instances"][-1].__setitem__("instance_id", 2**63),
+        f"{LAST}.instance_id: expected an integer <= 9223372036854775807, "
+        "got 9223372036854775808",
+    ),
+}
+
+
+@pytest.mark.parametrize("trap", TRAPS.keys())
+def test_pose_parser_names_a_bad_node_in_the_last_frame(trap):
+    doc = three_frame_clip()
+    parse_pose_video(json.dumps(doc))  # valid before the change
+    mutate, message = TRAPS[trap]
+    mutate(doc)
+    with pytest.raises(ParseError) as caught:
+        parse_pose_video(json.dumps(doc))
+    assert str(caught.value) == message
 
 
 # --- property tests -------------------------------------------------------------

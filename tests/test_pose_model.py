@@ -1,24 +1,30 @@
 import glob
+import json
 import math
 import os
 
 import pytest
 from hypothesis import given, strategies as st
 
+from posedit import pose_model
 from posedit import (
     COCO_17_JOINTS,
+    Assignment,
     GeometryError,
     Keypoint,
     ParseError,
     PoseFrame,
     PoseInstance,
     PoseVideo,
+    alignment_transforms,
+    edit_pose_video,
     keypoint_bbox,
     out_of_frame_indices,
     parse_pose_video,
+    resample_video,
     serialize_pose_video,
 )
-from conftest import fixture_path, read_fixture
+from conftest import fixture_path, ragged_videos, read_fixture
 
 TINY_CANONICAL = (
     '{"frames":[{"frame_index":0,"instances":[{"instance_id":0,"keypoints":['
@@ -150,6 +156,72 @@ def test_parse_preserves_structure(video):
                 assert pk.visible == vk.visible
                 assert math.isclose(pk.x, vk.x, abs_tol=5e-7)
                 assert math.isclose(pk.y, vk.y, abs_tol=5e-7)
+
+
+# --- ragged videos ------------------------------------------------------------------
+
+
+@given(ragged_videos())
+def test_ragged_round_trip_is_a_fixed_point(video):
+    text = serialize_pose_video(video)
+    parsed = parse_pose_video(text)
+    assert parsed == video
+    assert parsed.frames == video.frames
+    assert serialize_pose_video(parsed) == text
+
+
+@given(ragged_videos())
+def test_column_checks_accept_what_the_walk_accepts(video):
+    doc = json.loads(serialize_pose_video(video))
+    joints = len(video.skeleton)
+    columns = pose_model._columns(doc["frames"], joints)
+    assert columns is not None
+    assert columns == pose_model._walk(doc["frames"], joints)
+
+
+def test_zero_frames_and_empty_frames_round_trip():
+    for frames in ((), (PoseFrame(frame_index=3, instances=()),)):
+        video = PoseVideo(width=4, height=4, skeleton=("a", "b"), frames=frames)
+        text = serialize_pose_video(video)
+        assert parse_pose_video(text) == video
+        assert serialize_pose_video(parse_pose_video(text)) == text
+        assert video.xy.shape == (0, 2, 2)
+
+
+def test_views_compare_equal_to_hand_built_objects():
+    video = parse_pose_video(TINY_CANONICAL)
+    assert video.frames == tiny_video().frames
+    inst = video.frames[0].instances[0]
+    assert inst.keypoints == tiny_video().frames[0].instances[0].keypoints
+    assert inst.xy.tolist() == [[1.0, 2.0], [0.0, 0.0], [3.25, 0.125]]
+    assert not inst.xy.flags.writeable
+    with pytest.raises(AttributeError):
+        inst.instance_id = 5
+
+
+def test_array_paths_build_no_keypoint_objects(monkeypatch):
+    built = []
+    keypoint = pose_model.Keypoint
+    monkeypatch.setattr(
+        pose_model, "Keypoint", lambda *args: built.append(args) or keypoint(*args)
+    )
+    source = parse_pose_video(read_fixture("e2e_duo_wave", "source.json"))
+    retrieved = parse_pose_video(read_fixture("e2e_duo_wave", "db", "clips", "wave_01.json"))
+    # the walk perfbench/tracing.py makes over every parsed video
+    assert sum(len(frame.instances) for frame in source.frames) > 0
+    working = resample_video(source, 2 * len(source.frames))
+    first_ids = [inst.instance_id for inst in working.frames[0].instances]
+    assignment = Assignment(
+        pairs=tuple(enumerate(first_ids)), unmatched_detections=(), unmatched_instances=()
+    )
+    transforms = alignment_transforms(working, assignment, retrieved)
+    edited = edit_pose_video(working, assignment, retrieved, transforms)
+    serialize_pose_video(edited)
+    out_of_frame_indices(edited)
+    keypoint_bbox(edited.frames[0].instances[0])
+    assert built == []
+    assert edited.frames[0].instances[0].keypoints  # built on request
+    assert len(built) == len(source.skeleton)
 
 
 # --- validation and parse failures -------------------------------------------------

@@ -241,3 +241,13 @@ def test_from_instance_takes_mask_from_visibility():
     ks = KeypointSet.from_instance(inst)
     assert ks.points.shape == (2, 2)
     assert ks.mask.tolist() == [True, False]
+
+
+def test_apply_transform_overflow_is_a_geometry_error():
+    far = PoseInstance(instance_id=0, keypoints=(Keypoint(x=1e300, y=0.0, visible=True),))
+    video = PoseVideo(
+        width=10, height=10, skeleton=("a",), frames=(PoseFrame(frame_index=0, instances=(far,)),)
+    )
+    tr = SimilarityTransform2D(scale=1e10, theta=0.0, translation=(0.0, 0.0))
+    with pytest.raises(GeometryError, match="overflow"):
+        apply_transform(tr, video)
