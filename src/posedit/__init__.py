@@ -67,7 +67,6 @@ from .pipeline import AnswerRecord, parse_answer
 from .pose_model import (
     COCO_17_JOINTS,
     BoundingBox,
-    Keypoint,
     PoseFrame,
     PoseInstance,
     PoseVideo,

@@ -148,6 +148,54 @@ class AttentionStack:
         return self.steps[0].inversion_cross.tokens
 
 
+class SyntheticAttentionPredictor:
+    """Wraps a noise predictor with deterministic fake attention maps.
+
+    The sampler's blending hook needs per-step cross- and self-attention; a
+    real U-Net would supply them, so the demo derives small grids from the
+    latent itself.  Values are arbitrary but deterministic: |z| tiled row-major
+    into h x w, scaled per token and per process.
+    """
+
+    def __init__(self, base, tokens: int, h: int = 4, w: int = 4):
+        if tokens < 1:
+            raise ValueError("tokens must be >= 1")
+        self._base = base
+        self._tokens = tokens
+        self._h = h
+        self._w = w
+
+    def __call__(self, z, t, tau):
+        return self._base(z, t, tau)
+
+    def _grid(self, z, scale: float) -> np.ndarray:
+        flat = np.abs(np.asarray(z, dtype=np.float64))
+        reps = -(-(self._h * self._w) // flat.size)
+        tiled = np.tile(flat, reps)[: self._h * self._w]
+        return scale * tiled.reshape(self._h, self._w)
+
+    def attention_record(self, z, t, tau) -> BlendStepRecord:
+        inv_cross = CrossAttentionMap(
+            maps=tuple(
+                SpatialMap(self._h, self._w, self._grid(z, 1.0 + 0.25 * k))
+                for k in range(self._tokens)
+            )
+        )
+        den_cross = CrossAttentionMap(
+            maps=tuple(
+                SpatialMap(self._h, self._w, self._grid(z, 0.5 + 0.25 * k + 0.01 * t))
+                for k in range(self._tokens)
+            )
+        )
+        return BlendStepRecord(
+            step=t,
+            inversion_cross=inv_cross,
+            inversion_self=SpatialMap(self._h, self._w, self._grid(z, 2.0)),
+            denoise_cross=den_cross,
+            denoise_self=SpatialMap(self._h, self._w, self._grid(z, 3.0 + 0.01 * t)),
+        )
+
+
 def threshold_mask(c: CrossAttentionMap, token_set, ratio: float) -> Mask:
     """Threshold the summed maps of ``token_set`` at ratio * max.
 

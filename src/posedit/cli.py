@@ -22,7 +22,7 @@ import os
 import sys
 
 from . import pipeline
-from .config import config_path_fields, make_config, parse_pipeline_config
+from .config import PATH_FIELDS, make_config, parse_pipeline_config
 from .errors import ParseError, PoseditError
 
 
@@ -34,9 +34,8 @@ def _load_config_file(path: str) -> dict:
         raise ParseError(f"cannot read config {path}: {exc}") from exc
     values = parse_pipeline_config(text)
     base = os.path.dirname(os.path.abspath(path))
-    for key in config_path_fields():
-        # embedder_command is argv text, not a single path; leave it alone
-        if key in values and key != "embedder_command" and not os.path.isabs(values[key]):
+    for key in PATH_FIELDS:
+        if key in values and not os.path.isabs(values[key]):
             values[key] = os.path.join(base, values[key])
     return values
 

@@ -67,11 +67,13 @@ class PipelineConfig:
             )
         if self.latent_dim < 1:
             raise ValueError(f"latent_dim must be >= 1, got {self.latent_dim}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
-_PATH_FIELDS = frozenset(
+# config fields whose values are filesystem paths
+PATH_FIELDS = frozenset(
     {
-        "embedder_command",
         "source",
         "detections",
         "answer",
@@ -82,11 +84,6 @@ _PATH_FIELDS = frozenset(
         "out_dir",
     }
 )
-
-
-def config_path_fields() -> frozenset[str]:
-    """Names of config fields whose values are filesystem paths."""
-    return _PATH_FIELDS
 
 
 def parse_pipeline_config(text: str) -> dict:
@@ -103,14 +100,16 @@ def parse_pipeline_config(text: str) -> dict:
     for key, value in doc.items():
         if key not in known:
             raise ParseError(f"$: unknown config field {key!r}")
-        if key in _PATH_FIELDS:
+        if key in PATH_FIELDS or key == "embedder_command":  # argv text, not a path
             out[key] = string(value, "$", key, nonempty=True)
         elif key == "tokens":
             array(value, "$", key, nonempty=True)
             out[key] = tuple(integer(t, key, i, minimum=0) for i, t in enumerate(value))
         elif key == "union_initial_mask":
             out[key] = boolean(value, "$", key)
-        elif key in {"frame_count", "top_k", "ddim_steps", "latent_dim", "seed"}:
+        elif key == "seed":
+            out[key] = integer(value, "$", key, minimum=0)
+        elif key in {"frame_count", "top_k", "ddim_steps", "latent_dim"}:
             out[key] = integer(value, "$", key)
         else:  # real-valued knob
             out[key] = real(value, "$", key)

@@ -17,7 +17,7 @@ import numpy as np
 
 from ._schema import array, fraction, integer, load_json, obj, reals, string
 from .errors import ParseError, ShapeError
-from .pose_model import BoundingBox, PoseFrame, PoseVideo, keypoint_bbox
+from .pose_model import BoundingBox, PoseVideo, keypoint_bbox
 from .procrustes import (
     KeypointSet,
     SimilarityTransform2D,
@@ -89,9 +89,10 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
 
 
 def assign_detections(
-    dset: DetectionSet, frame: PoseFrame, threshold: float = IOU_THRESHOLD_DEFAULT
+    dset: DetectionSet, video: PoseVideo, threshold: float = IOU_THRESHOLD_DEFAULT
 ) -> Assignment:
-    """Greedy highest-IoU matching between detections and frame instances.
+    """Greedy highest-IoU matching between detections and the people of
+    ``video``'s first frame.
 
     Repeatedly takes the globally best (detection, instance) pair with
     IoU >= threshold and removes both from play; equal IoU values resolve by
@@ -99,13 +100,16 @@ def assign_detections(
     keypoint cannot produce a box and make the frame unusable (error from
     :func:`keypoint_bbox` propagates).
     """
-    boxes = {inst.instance_id: keypoint_bbox(inst) for inst in frame.instances}
+    if not len(video.frame_index):
+        raise ValueError("video has no frames")
+    ids = video.instance_id[: video.offsets[1]].tolist()
+    boxes = [keypoint_bbox(video, row) for row in range(len(ids))]
     candidates = []
     for d_idx, det in enumerate(dset.detections):
-        for inst in frame.instances:
-            value = iou(det.box, boxes[inst.instance_id])
+        for inst_id, inst_box in zip(ids, boxes):
+            value = iou(det.box, inst_box)
             if value >= threshold:
-                candidates.append((value, d_idx, inst.instance_id))
+                candidates.append((value, d_idx, inst_id))
     # sorted scan == repeated global-max extraction: skipped rows stay skipped
     candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
 
@@ -121,9 +125,7 @@ def assign_detections(
         unmatched_detections=tuple(
             i for i in range(len(dset.detections)) if i not in used_d
         ),
-        unmatched_instances=tuple(
-            inst.instance_id for inst in frame.instances if inst.instance_id not in used_i
-        ),
+        unmatched_instances=tuple(i for i in ids if i not in used_i),
     )
 
 

@@ -24,10 +24,9 @@ import numpy as np
 
 from .blending import (
     AttentionStack,
-    BlendStepRecord,
-    CrossAttentionMap,
     Mask,
     SpatialMap,
+    SyntheticAttentionPredictor,
     parse_attention_stack,
     run_blend_schedule_with_masks,
 )
@@ -150,6 +149,14 @@ def _mask_doc(m: Mask) -> dict:
     return {"h": m.h, "w": m.w, "bits": [int(b) for b in m.bits.ravel()]}
 
 
+def _steps_doc(records) -> list[dict]:
+    """The per-step documents of a blend schedule's (step, mask, s_edit)."""
+    return [
+        {"step": step, "mask": _mask_doc(mask), "s_edit": _map_doc(s_edit)}
+        for step, mask, s_edit in records
+    ]
+
+
 # --- commands ---------------------------------------------------------------------
 
 
@@ -163,15 +170,15 @@ def run_align(config: PipelineConfig, fixed_path: str, moving_path: str) -> dict
     fixed = parse_pose_video(_read(fixed_path))
     moving = parse_pose_video(_read(moving_path))
     for name, video in (("fixed", fixed), ("moving", moving)):
-        if not video.frames:
+        if not len(video.frame_index):
             raise StageError(f"{name} video has no frames")
-        if len(video.frames[0].instances) != 1:
+        if video.offsets[1] != 1:
             raise StageError(
                 f"{name} video must have exactly 1 instance in its first frame, "
-                f"got {len(video.frames[0].instances)}"
+                f"got {video.offsets[1]}"
             )
-    fixed_set = KeypointSet.from_instance(fixed.frames[0].instances[0])
-    moving_set = KeypointSet.from_instance(moving.frames[0].instances[0])
+    fixed_set = KeypointSet(points=fixed.xy[0], mask=fixed.visible[0])
+    moving_set = KeypointSet(points=moving.xy[0], mask=moving.visible[0])
     tr = solve_similarity(fixed_set, moving_set)
     aligned = apply_transform(tr, moving)
 
@@ -270,7 +277,7 @@ def run_edit(config: PipelineConfig) -> dict:
             f"starts at frame_index {first_index}"
         )
     working = resample_video(source, config.frame_count)
-    assignment = assign_detections(dset, working.frames[0], config.iou_threshold)
+    assignment = assign_detections(dset, working, config.iou_threshold)
 
     ranked = query(db, q, min(config.top_k, len(db)))
     by_id = {e.entry_id: e for e in db.entries}
@@ -304,7 +311,7 @@ def run_edit(config: PipelineConfig) -> dict:
 
     report = {
         "answer": {"subject": answer.subject, "action": answer.action},
-        "frame_count": len(working.frames),
+        "frame_count": len(working.frame_index),
         "assignment": {
             "pairs": [
                 {
@@ -345,62 +352,11 @@ def run_blend_demo(config: PipelineConfig) -> dict:
         "ratio": config.blend_ratio,
         "tokens": list(config.tokens),
         "union_initial_mask": config.union_initial_mask,
-        "steps": [
-            {"step": step, "mask": _mask_doc(mask), "s_edit": _map_doc(s_edit)}
-            for step, mask, s_edit in records
-        ],
+        "steps": _steps_doc(records),
     }
     names = [_write(out_dir, "blended.json", _dump(doc))]
     _write_manifest(out_dir, names)
     return {"steps": len(records), "outputs": sorted(names)}
-
-
-class SyntheticAttentionPredictor:
-    """Wraps a noise predictor with deterministic fake attention maps.
-
-    The sampler's blending hook needs per-step cross- and self-attention; a
-    real U-Net would supply them, so the demo derives small grids from the
-    latent itself.  Values are arbitrary but deterministic: |z| tiled row-major
-    into h x w, scaled per token and per process.
-    """
-
-    def __init__(self, base, tokens: int, h: int = 4, w: int = 4):
-        if tokens < 1:
-            raise ValueError("tokens must be >= 1")
-        self._base = base
-        self._tokens = tokens
-        self._h = h
-        self._w = w
-
-    def __call__(self, z, t, tau):
-        return self._base(z, t, tau)
-
-    def _grid(self, z, scale: float) -> np.ndarray:
-        flat = np.abs(np.asarray(z, dtype=np.float64))
-        reps = -(-(self._h * self._w) // flat.size)
-        tiled = np.tile(flat, reps)[: self._h * self._w]
-        return scale * tiled.reshape(self._h, self._w)
-
-    def attention_record(self, z, t, tau) -> BlendStepRecord:
-        inv_cross = CrossAttentionMap(
-            maps=tuple(
-                SpatialMap(self._h, self._w, self._grid(z, 1.0 + 0.25 * k))
-                for k in range(self._tokens)
-            )
-        )
-        den_cross = CrossAttentionMap(
-            maps=tuple(
-                SpatialMap(self._h, self._w, self._grid(z, 0.5 + 0.25 * k + 0.01 * t))
-                for k in range(self._tokens)
-            )
-        )
-        return BlendStepRecord(
-            step=t,
-            inversion_cross=inv_cross,
-            inversion_self=SpatialMap(self._h, self._w, self._grid(z, 2.0)),
-            denoise_cross=den_cross,
-            denoise_self=SpatialMap(self._h, self._w, self._grid(z, 3.0 + 0.01 * t)),
-        )
 
 
 def run_ddim_demo(config: PipelineConfig) -> dict:
@@ -413,7 +369,10 @@ def run_ddim_demo(config: PipelineConfig) -> dict:
     hook; each blended map lands in ``blend_log.json``.
     """
     out_dir = _needed(config.out_dir, "--out-dir")
-    sched = make_schedule(config.ddim_steps, config.beta_start, config.beta_end)
+    try:
+        sched = make_schedule(config.ddim_steps, config.beta_start, config.beta_end)
+    except ValueError as exc:  # e.g. cumulative alphas underflowing to 0
+        raise ParseError(f"invalid configuration: {exc}") from exc
     rng = np.random.default_rng(config.seed)
     z0 = LatentState(values=rng.standard_normal(config.latent_dim), t=0)
     matrix = 0.1 * rng.standard_normal((config.latent_dim, config.latent_dim))
@@ -473,14 +432,7 @@ def run_ddim_demo(config: PipelineConfig) -> dict:
         _write(
             out_dir,
             "blend_log.json",
-            _dump(
-                {
-                    "steps": [
-                        {"step": step, "mask": _mask_doc(mask), "s_edit": _map_doc(s_edit)}
-                        for step, mask, s_edit in blended
-                    ]
-                }
-            ),
+            _dump({"steps": _steps_doc(blended)}),
         ),
     ]
     _write_manifest(out_dir, names)

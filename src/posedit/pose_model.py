@@ -24,20 +24,20 @@ There is one row per person per frame, frames in order and people in
 document order within a frame, so frames may hold different numbers of
 people.  With F frames, N rows and J skeleton joints:
 
-    frame_index  (F,)       int64    strictly increasing
+    frame_index  (F,)       int64    non-negative, strictly increasing
     offsets      (F+1,)     int64    frame k owns rows offsets[k]:offsets[k+1]
-    instance_id  (N,)       int64    unique within a frame
-    xy           (N, J, 2)  float64  pixel coordinates
+    instance_id  (N,)       int64    non-negative, unique within a frame
+    xy           (N, J, 2)  float64  finite pixel coordinates
     visible      (N, J)     bool
     confidence   (N, J)     float64  in [0, 1]
 
-Parsing, transforms, resampling, substitution and serialization all work on
-these arrays.  :class:`PoseFrame`, :class:`PoseInstance` and
-:class:`Keypoint` objects are views for callers that want one object per
-frame, person or joint: ``video.frames`` is built on first access, and an
-instance's ``keypoints`` tuple only when it is asked for.  The constructors
-still take those objects, so hand-built videos work as before, and ``==``
-compares values.
+``PoseVideo(width, height, skeleton, frame_index, offsets, instance_id, xy,
+visible, confidence, label=None)`` is the one way to build a video: it copies
+the columns, checks them whole and raises :class:`ValueError` when they break
+the layout.  Parsing, transforms, resampling, substitution and serialization
+all work on these arrays.  ``video.frames`` is a tuple of read-only
+:class:`PoseFrame` views, built on first access for callers that want one
+object per frame and person; ``==`` compares values.
 
 Serialization is canonical so that golden-file tests are byte-exact across
 platforms: object keys sorted, coordinates and confidences rendered as fixed
@@ -54,7 +54,6 @@ by geometry operations.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter, lt
@@ -98,35 +97,20 @@ COCO_17_JOINTS = (
 _INDEX_MAX = 2**63 - 1
 
 
-@dataclass(frozen=True)
-class Keypoint:
-    """One joint: pixel coordinates, visibility, and detector confidence."""
-
-    x: float
-    y: float
-    visible: bool
-    confidence: float = 1.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError("keypoint coordinates must be finite")
-        if not (math.isfinite(self.confidence) and 0.0 <= self.confidence <= 1.0):
-            raise ValueError(f"confidence must be in [0, 1], got {self.confidence}")
-
-
 class _Record:
-    """An immutable value: each field is set once, through ``_set``, which
-    also makes array fields read-only; two records are equal when every name
-    in ``_fields`` holds equal values (arrays compared element by element)."""
+    """An immutable value: two records are equal when every name in
+    ``_fields`` holds equal values (arrays compared element by element)."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
-    def _set(self, **fields):
-        for key, value in fields.items():
-            if isinstance(value, np.ndarray):
-                value.setflags(write=False)
-            object.__setattr__(self, key, value)
+    @classmethod
+    def _view(cls, *values):
+        """A record holding ``values`` in ``_fields`` order, stored as given."""
+        record = cls.__new__(cls)
+        for key, value in zip(cls._fields, values):
+            object.__setattr__(record, key, value)
+        return record
 
     def __setattr__(self, key, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -148,79 +132,24 @@ class _Record:
 
     __hash__ = None
 
+    def __repr__(self):
+        fields = ", ".join(f"{key}={getattr(self, key)!r}" for key in self._fields)
+        return f"{type(self).__name__}({fields})"
+
 
 class PoseInstance(_Record):
-    """A single person's keypoints within one frame.
+    """One row of a :class:`PoseVideo`: a person's ``instance_id`` and the
+    read-only ``xy`` (J, 2), ``visible`` (J,) and ``confidence`` (J,) views
+    of its keypoints."""
 
-    ``xy`` (J, 2), ``visible`` (J,) and ``confidence`` (J,) are read-only
-    arrays.  ``keypoints`` gives the same data as :class:`Keypoint` objects;
-    for an instance taken from a :class:`PoseVideo` they are built on first
-    use.
-    """
-
-    __slots__ = ("instance_id", "xy", "visible", "confidence", "_keypoints")
-    _fields = ("instance_id", "xy", "visible", "confidence")
-
-    def __init__(self, instance_id: int, keypoints):
-        keypoints = tuple(keypoints)
-        if instance_id < 0:
-            raise ValueError("instance_id must be non-negative")
-        self._set(
-            instance_id=instance_id,
-            xy=np.array([(kp.x, kp.y) for kp in keypoints], dtype=np.float64).reshape(-1, 2),
-            visible=np.array([kp.visible for kp in keypoints], dtype=bool),
-            confidence=np.array([kp.confidence for kp in keypoints], dtype=np.float64),
-            _keypoints=keypoints,
-        )
-
-    @classmethod
-    def _view(cls, instance_id, xy, visible, confidence) -> "PoseInstance":
-        """An instance over one row of a video's arrays; no keypoint objects."""
-        inst = cls.__new__(cls)
-        # direct stores: a video's frames build one view per row
-        setattr_ = object.__setattr__
-        setattr_(inst, "instance_id", instance_id)
-        setattr_(inst, "xy", xy)
-        setattr_(inst, "visible", visible)
-        setattr_(inst, "confidence", confidence)
-        setattr_(inst, "_keypoints", None)
-        return inst
-
-    @property
-    def keypoints(self) -> tuple[Keypoint, ...]:
-        if self._keypoints is None:
-            keypoints = tuple(
-                map(
-                    Keypoint,
-                    self.xy[:, 0].tolist(),
-                    self.xy[:, 1].tolist(),
-                    self.visible.tolist(),
-                    self.confidence.tolist(),
-                )
-            )
-            object.__setattr__(self, "_keypoints", keypoints)
-        return self._keypoints
-
-    def __repr__(self):
-        return f"PoseInstance(instance_id={self.instance_id!r}, keypoints={self.keypoints!r})"
+    __slots__ = _fields = ("instance_id", "xy", "visible", "confidence")
 
 
 class PoseFrame(_Record):
-    """All person instances present at one frame index."""
+    """The ``instances`` (a tuple of :class:`PoseInstance`) of one frame of
+    a :class:`PoseVideo`, at ``frame_index``."""
 
     __slots__ = _fields = ("frame_index", "instances")
-
-    def __init__(self, frame_index: int, instances):
-        instances = tuple(instances)
-        if frame_index < 0:
-            raise ValueError("frame_index must be non-negative")
-        ids = [inst.instance_id for inst in instances]
-        if len(set(ids)) != len(ids):
-            raise ValueError("instance_id values must be unique within a frame")
-        self._set(frame_index=frame_index, instances=instances)
-
-    def __repr__(self):
-        return f"PoseFrame(frame_index={self.frame_index!r}, instances={self.instances!r})"
 
 
 _COLUMNS = ("frame_index", "offsets", "instance_id", "xy", "visible", "confidence")
@@ -229,63 +158,88 @@ _COLUMNS = ("frame_index", "offsets", "instance_id", "xy", "visible", "confidenc
 class PoseVideo(_Record):
     """An ordered pose-keypoint clip with a shared skeleton.
 
-    The clip is held as the arrays the module docstring lays out;
+    The clip is held as the arrays the module docstring lays out; the
+    constructor copies each column to its dtype, makes it read-only and
+    raises :class:`ValueError` when the columns break that layout.
     ``frames`` is a tuple of :class:`PoseFrame` views built on first access.
     """
 
-    __slots__ = ("width", "height", "skeleton", "label", *_COLUMNS, "_frames")
-    _fields = ("width", "height", "skeleton", "label", *_COLUMNS)
+    __slots__ = ("width", "height", "skeleton", *_COLUMNS, "label", "_frames")
+    _fields = ("width", "height", "skeleton", *_COLUMNS, "label")
 
-    def __init__(self, width: int, height: int, skeleton, frames, label: str | None = None):
+    def __init__(
+        self,
+        width: int,
+        height: int,
+        skeleton,
+        frame_index,
+        offsets,
+        instance_id,
+        xy,
+        visible,
+        confidence,
+        label: str | None = None,
+    ):
         skeleton = tuple(skeleton)
-        frames = tuple(frames)
         if width <= 0 or height <= 0:
             raise ValueError("width and height must be positive")
         if not skeleton:
             raise ValueError("skeleton must name at least one joint")
-        joints = len(skeleton)
-        for frame in frames:
-            for inst in frame.instances:
-                if len(inst.xy) != joints:
-                    raise ValueError(
-                        f"instance {inst.instance_id} in frame {frame.frame_index} "
-                        f"has {len(inst.xy)} keypoints, skeleton has {joints}"
-                    )
-        indices = [f.frame_index for f in frames]
-        for prev, cur in zip(indices, indices[1:]):
-            if cur <= prev:
-                raise ValueError("frame_index must be strictly increasing")
-        rows = [inst for frame in frames for inst in frame.instances]
-        self._set(
-            width=width,
-            height=height,
-            skeleton=skeleton,
-            label=label,
-            frame_index=np.array(indices, dtype=np.int64),
-            offsets=np.cumsum([0] + [len(f.instances) for f in frames]),
-            instance_id=np.array([i.instance_id for i in rows], dtype=np.int64),
-            xy=np.array([i.xy for i in rows], dtype=np.float64).reshape(-1, joints, 2),
-            visible=np.array([i.visible for i in rows], dtype=bool).reshape(-1, joints),
-            confidence=np.array([i.confidence for i in rows], dtype=np.float64).reshape(
-                -1, joints
-            ),
-            _frames=frames,
-        )
+        frame_index = np.array(frame_index, dtype=np.int64)
+        offsets = np.array(offsets, dtype=np.int64)
+        instance_id = np.array(instance_id, dtype=np.int64)
+        xy = np.array(xy, dtype=np.float64)
+        visible = np.array(visible, dtype=bool)
+        confidence = np.array(confidence, dtype=np.float64)
 
-    @classmethod
-    def _build(cls, **fields) -> "PoseVideo":
-        """A video straight from its scalars and already-valid arrays
-        (``width``, ``height``, ``skeleton``, ``label`` and every column);
-        the arrays are made read-only, not copied."""
-        video = cls.__new__(cls)
-        video._set(_frames=None, **fields)
-        return video
+        if frame_index.ndim != 1 or offsets.shape != (len(frame_index) + 1,):
+            raise ValueError(
+                f"offsets has shape {offsets.shape}, frame_index {frame_index.shape}: "
+                f"need (F+1,) and (F,)"
+            )
+        counts = np.diff(offsets)
+        if offsets[0] != 0 or (counts < 0).any():
+            raise ValueError("offsets must start at 0 and never decrease")
+        rows, joints = int(offsets[-1]), len(skeleton)
+        for key, column, shape in (
+            ("instance_id", instance_id, (rows,)),
+            ("xy", xy, (rows, joints, 2)),
+            ("visible", visible, (rows, joints)),
+            ("confidence", confidence, (rows, joints)),
+        ):
+            if column.shape != shape:
+                raise ValueError(
+                    f"{key} has shape {column.shape}, expected {shape} "
+                    f"for {rows} rows of {joints} joints"
+                )
+        if (frame_index < 0).any():
+            raise ValueError("frame_index must be non-negative")
+        if (np.diff(frame_index) <= 0).any():
+            raise ValueError("frame_index must be strictly increasing")
+        if (instance_id < 0).any():
+            raise ValueError("instance_id must be non-negative")
+        # sorted by frame, then id: a repeat within a frame lands next to itself
+        frame_of_row = np.repeat(np.arange(len(frame_index)), counts)
+        order = np.lexsort((instance_id, frame_of_row))
+        if ((np.diff(frame_of_row[order]) == 0) & (np.diff(instance_id[order]) == 0)).any():
+            raise ValueError("instance_id values must be unique within a frame")
+        if not np.isfinite(xy).all():
+            raise ValueError("keypoint coordinates must be finite")
+        if not ((0.0 <= confidence) & (confidence <= 1.0)).all():
+            raise ValueError("confidence must be in [0, 1]")
+
+        columns = (frame_index, offsets, instance_id, xy, visible, confidence)
+        for key, value in zip(self._fields, (width, height, skeleton, *columns, label)):
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            object.__setattr__(self, key, value)
+        object.__setattr__(self, "_frames", None)
 
     def _replace(self, **changes) -> "PoseVideo":
-        """This video with some columns swapped for new valid arrays."""
+        """This video with some fields swapped, through the constructor."""
         fields = {key: getattr(self, key) for key in self._fields}
         fields.update(changes)
-        return PoseVideo._build(**fields)
+        return PoseVideo(**fields)
 
     @property
     def frames(self) -> tuple[PoseFrame, ...]:
@@ -301,18 +255,11 @@ class PoseVideo(_Record):
             )
             bounds = self.offsets.tolist()
             frames = tuple(
-                PoseFrame(k, rows[a:b])
+                PoseFrame._view(k, tuple(rows[a:b]))
                 for k, a, b in zip(self.frame_index.tolist(), bounds, bounds[1:])
             )
             object.__setattr__(self, "_frames", frames)
         return self._frames
-
-    def __repr__(self):
-        return (
-            f"PoseVideo(width={self.width!r}, height={self.height!r}, "
-            f"skeleton={self.skeleton!r}, frames=<{len(self.frame_index)} frames, "
-            f"{len(self.instance_id)} instances>, label={self.label!r})"
-        )
 
 
 @dataclass(frozen=True)
@@ -333,16 +280,17 @@ class BoundingBox:
         return (self.x_max - self.x_min) * (self.y_max - self.y_min)
 
 
-def keypoint_bbox(instance: PoseInstance) -> BoundingBox:
-    """Tight axis-aligned box over the instance's visible keypoints.
+def keypoint_bbox(video: PoseVideo, row: int) -> BoundingBox:
+    """Tight axis-aligned box over the visible keypoints of row ``row``.
 
     Invisible keypoints are ignored; no padding is applied.  Raises
-    :class:`GeometryError` when the instance has no visible keypoint.
+    :class:`GeometryError` naming the row's instance when it has no visible
+    keypoint.
     """
-    points = instance.xy[instance.visible]
+    points = video.xy[row][video.visible[row]]
     if not len(points):
         raise GeometryError(
-            f"instance {instance.instance_id} has no visible keypoints"
+            f"instance {video.instance_id[row]} has no visible keypoints"
         )
     (x_min, y_min), (x_max, y_max) = points.min(axis=0).tolist(), points.max(axis=0).tolist()
     return BoundingBox(x_min, y_min, x_max, y_max)
@@ -506,17 +454,17 @@ def parse_pose_video(text: str) -> PoseVideo:
     if columns is None:  # some node is bad: walk to the first one
         columns = _walk(frames, joints)
     frame_index, counts, ids, x, y, visible, confidence = columns
-    return PoseVideo._build(
-        width=width,
-        height=height,
-        skeleton=skeleton,
-        label=label,
-        frame_index=np.array(frame_index, dtype=np.int64),
+    return PoseVideo(
+        width,
+        height,
+        skeleton,
+        frame_index=frame_index,
         offsets=np.cumsum([0] + counts),
-        instance_id=np.array(ids, dtype=np.int64),
+        instance_id=ids,
         xy=np.column_stack((x, y)).reshape(len(ids), joints, 2),
         visible=np.array(visible, dtype=bool).reshape(len(ids), joints),
         confidence=np.array(confidence, dtype=np.float64).reshape(len(ids), joints),
+        label=label,
     )
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeometryError, ShapeError
-from .pose_model import PoseInstance, PoseVideo
+from .pose_model import PoseVideo
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,11 +52,6 @@ class KeypointSet:
 
     def __len__(self) -> int:
         return self.points.shape[0]
-
-    @classmethod
-    def from_instance(cls, instance: PoseInstance) -> "KeypointSet":
-        """Coordinates of every keypoint; mask = the visibility flags."""
-        return cls(points=instance.xy, mask=instance.visible)
 
 
 @dataclass(frozen=True)
@@ -174,10 +169,12 @@ def apply_transform(tr: SimilarityTransform2D, video: PoseVideo) -> PoseVideo:
     """
     points = video.xy[video.visible]
     # one 1x2 @ 2x2 product per point, as tr.apply(point[None]) computes it:
-    # a single (n, 2) @ (2, 2) product or written-out terms round differently
-    mapped = ((tr.scale * points)[:, None, :] @ tr.rotation().T)[:, 0, :] + np.asarray(
-        tr.translation
-    )
+    # a single (n, 2) @ (2, 2) product or written-out terms round differently;
+    # overflow is reported below as a GeometryError, not as a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        mapped = ((tr.scale * points)[:, None, :] @ tr.rotation().T)[:, 0, :] + np.asarray(
+            tr.translation
+        )
     if not np.isfinite(mapped).all():
         raise GeometryError("aligned keypoint coordinates overflow the float range")
     xy = video.xy.copy()

@@ -1,9 +1,10 @@
 import os
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
-from posedit import Keypoint, PoseFrame, PoseInstance, PoseVideo
+from posedit import PoseVideo
 
 settings.register_profile(
     "suite",
@@ -31,6 +32,33 @@ def read_fixture(*parts: str) -> str:
         return fh.read()
 
 
+def pose_video(width, height, skeleton, frames, label=None) -> PoseVideo:
+    """A video from nested tuples: ``frames`` holds ``(frame_index,
+    instances)``, each instance is ``(instance_id, keypoints)`` and each
+    keypoint ``(x, y, visible)`` or ``(x, y, visible, confidence)``, with
+    confidence 1.0 when left out."""
+    joints = len(skeleton)
+    rows = [instance for _, instances in frames for instance in instances]
+    keypoints = [(*kp, 1.0)[:4] for _, kps in rows for kp in kps]
+    return PoseVideo(
+        width,
+        height,
+        skeleton,
+        frame_index=[index for index, _ in frames],
+        offsets=np.cumsum([0] + [len(instances) for _, instances in frames]),
+        instance_id=[instance_id for instance_id, _ in rows],
+        xy=np.array([kp[:2] for kp in keypoints], dtype=np.float64).reshape(-1, joints, 2),
+        visible=np.array([kp[2] for kp in keypoints], dtype=bool).reshape(-1, joints),
+        confidence=np.array([kp[3] for kp in keypoints], dtype=np.float64).reshape(-1, joints),
+        label=label,
+    )
+
+
+def columns(video: PoseVideo) -> dict:
+    """Every constructor argument of ``video``, by name."""
+    return {key: getattr(video, key) for key in PoseVideo._fields}
+
+
 # coordinates and confidences that print exactly at six decimals, so a
 # serialize/parse round trip gives back equal values
 EXACT_COORDINATES = st.integers(min_value=-64000, max_value=64000).map(lambda k: k / 64)
@@ -55,22 +83,22 @@ def ragged_videos(
         ids = draw(st.lists(st.sampled_from(pool), min_size=people[0],
                             max_size=min(people[1], len(pool)), unique=True))
         instances = [
-            PoseInstance(
+            (
                 instance_id,
                 [
-                    Keypoint(
-                        x=draw(coordinates),
-                        y=draw(coordinates),
-                        visible=draw(st.booleans()),
-                        confidence=draw(EXACT_CONFIDENCES),
+                    (
+                        draw(coordinates),
+                        draw(coordinates),
+                        draw(st.booleans()),
+                        draw(EXACT_CONFIDENCES),
                     )
                     for _ in range(joints)
                 ],
             )
             for instance_id in ids
         ]
-        frames.append(PoseFrame(index, instances))
-    return PoseVideo(
+        frames.append((index, instances))
+    return pose_video(
         width=draw(st.integers(min_value=1, max_value=2000)),
         height=draw(st.integers(min_value=1, max_value=2000)),
         skeleton=tuple(f"j{i}" for i in range(joints)),

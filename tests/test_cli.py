@@ -88,6 +88,7 @@ def test_align_degenerate_geometry_exits_3(tmp_path, capsys):
     assert err.startswith("error: ")
 
 
+@pytest.mark.filterwarnings("error")
 def test_align_overflowing_clip_exits_3(tmp_path, capsys):
     def clip(*frames):
         return {"width": 10, "height": 10, "skeleton": ["a", "b", "c"], "frames": [
@@ -342,6 +343,27 @@ def test_ddim_demo_reports_round_trip_error(tmp_path, capsys):
         "schedule.json",
     ]
     assert load_out(tmp_path, "round_trip.json")["max_abs_error"] < 1e-6
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"seed": -1}, "seed: expected an integer >= 0, got -1"),
+        (
+            {"beta_start": 0.5, "beta_end": 0.99, "ddim_steps": 5000},
+            "invalid configuration: alphas[",
+        ),
+    ],
+)
+def test_ddim_demo_bad_config_exits_2(tmp_path, capsys, config, message):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, "ddim-demo", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")
+    )
+    assert code == 2
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
 
 
 # --- metrics ----------------------------------------------------------------------

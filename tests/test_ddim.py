@@ -201,7 +201,7 @@ def test_sample_with_blend_requires_attention_record_for_hook():
 
 
 def test_sample_with_blend_hook_does_not_change_latents():
-    from posedit.pipeline import SyntheticAttentionPredictor
+    from posedit.blending import SyntheticAttentionPredictor
 
     sched = make_schedule(steps=4)
     rng = np.random.default_rng(13)

@@ -11,10 +11,7 @@ from posedit import (
     Detection,
     DetectionSet,
     GeometryError,
-    Keypoint,
     ParseError,
-    PoseFrame,
-    PoseInstance,
     PoseVideo,
     ShapeError,
     SimilarityTransform2D,
@@ -23,13 +20,14 @@ from posedit import (
     assign_detections,
     edit_pose_video,
     iou,
+    keypoint_bbox,
     parse_detections,
     parse_pose_video,
     out_of_bounds_detections,
     resample_indices,
     resample_video,
 )
-from conftest import ANY_COORDINATES, ragged_videos, read_fixture
+from conftest import ANY_COORDINATES, columns, pose_video, ragged_videos, read_fixture
 from oracles import greedy_pairs_by_rescan
 
 
@@ -42,15 +40,14 @@ def det(phrase, b, score=0.9):
 
 
 def person_instance(instance_id, cx, cy, half=10.0):
-    kps = (
-        Keypoint(x=cx - half, y=cy - half, visible=True),
-        Keypoint(x=cx + half, y=cy + half, visible=True),
-    )
-    return PoseInstance(instance_id=instance_id, keypoints=kps)
+    return (instance_id, [(cx - half, cy - half, True), (cx + half, cy + half, True)])
 
 
-def frame_with(*instances):
-    return PoseFrame(frame_index=0, instances=tuple(instances))
+def frame_with(*instances, joints=2):
+    """A one-frame video holding ``instances``; a second frame without
+    them shows that assignment reads the first frame only."""
+    skeleton = tuple(f"j{i}" for i in range(joints))
+    return pose_video(400, 400, skeleton, [(0, instances), (1, [])])
 
 
 # --- iou ----------------------------------------------------------------------------
@@ -134,12 +131,16 @@ def test_assignment_tie_prefers_lower_detection_then_instance():
 
 
 def test_assignment_requires_visible_keypoints():
-    hidden = PoseInstance(
-        instance_id=0, keypoints=(Keypoint(x=1.0, y=1.0, visible=False),)
-    )
+    hidden = (0, [(1.0, 1.0, False)])
     dset = DetectionSet(frame_index=0, detections=(det("x", box(0, 0, 2, 2)),))
     with pytest.raises(GeometryError):
-        assign_detections(dset, frame_with(hidden), 0.3)
+        assign_detections(dset, frame_with(hidden, joints=1), 0.3)
+
+
+def test_assignment_needs_a_first_frame():
+    dset = DetectionSet(frame_index=0, detections=(det("x", box(0, 0, 2, 2)),))
+    with pytest.raises(ValueError, match="no frames"):
+        assign_detections(dset, pose_video(4, 4, ("a",), []), 0.3)
 
 
 def test_assignment_one_to_one_is_enforced():
@@ -170,10 +171,8 @@ def test_assignment_matches_the_rescan_oracle(seed):
 
     table = {}
     for d_idx, d in enumerate(detections):
-        for inst in instances:
-            from posedit import keypoint_bbox
-
-            table[(d_idx, inst.instance_id)] = iou(d.box, keypoint_bbox(inst))
+        for row, (inst_id, _) in enumerate(instances):
+            table[(d_idx, inst_id)] = iou(d.box, keypoint_bbox(frame, row))
     expected = greedy_pairs_by_rescan(table, threshold)
     assert list(got.pairs) == expected
     assert set(got.unmatched_detections) == set(range(n_det)) - {d for d, _ in expected}
@@ -203,14 +202,8 @@ def test_resample_indices_are_monotone_and_in_range(src, dst):
 
 
 def two_frame_video():
-    def fr(idx, x):
-        inst = PoseInstance(
-            instance_id=0, keypoints=(Keypoint(x=x, y=1.0, visible=True),)
-        )
-        return PoseFrame(frame_index=idx, instances=(inst,))
-
-    return PoseVideo(
-        width=100, height=100, skeleton=("j",), frames=(fr(0, 1.0), fr(1, 2.0))
+    return pose_video(
+        100, 100, ("j",), [(0, [(0, [(1.0, 1.0, True)])]), (1, [(0, [(2.0, 1.0, True)])])]
     )
 
 
@@ -223,7 +216,7 @@ def test_resample_video_renumbers_frames():
     video = two_frame_video()
     out = resample_video(video, 5)
     assert [f.frame_index for f in out.frames] == [0, 1, 2, 3, 4]
-    xs = [f.instances[0].keypoints[0].x for f in out.frames]
+    xs = [f.instances[0].xy[0, 0] for f in out.frames]
     assert xs == [1.0, 1.0, 2.0, 2.0, 2.0]
 
 
@@ -255,10 +248,10 @@ def test_edit_replaces_only_matched_instances():
         bystander_out = got_frame.instances[1]
         bystander_src = src_frame.instances[1]
         assert bystander_out == bystander_src
-        assert got_frame.instances[0].keypoints != src_frame.instances[0].keypoints
+        assert not np.array_equal(got_frame.instances[0].xy, src_frame.instances[0].xy)
     # replaced keypoints carry the retrieved clip's confidences
-    got_conf = [kp.confidence for kp in out.frames[0].instances[0].keypoints]
-    ret_conf = [kp.confidence for kp in retrieved.frames[0].instances[0].keypoints]
+    got_conf = out.frames[0].instances[0].confidence.tolist()
+    ret_conf = retrieved.frames[0].instances[0].confidence.tolist()
     assert got_conf == ret_conf
 
 
@@ -334,51 +327,59 @@ def test_out_of_bounds_detections_flags_escaping_boxes():
 
 
 # --- array code against per-keypoint references ------------------------------------
-# The references build one object per keypoint and map each visible point
-# with its own tr.apply(point[None]); the array code must agree bit for bit.
+# The references loop over rows and joints and map each visible point with
+# its own tr.apply(point[None]); the array code must agree bit for bit.
 
 
 def apply_per_keypoint(tr, video):
-    frames = []
-    for frame in video.frames:
-        instances = []
-        for inst in frame.instances:
-            keypoints = []
-            for kp in inst.keypoints:
-                if kp.visible:
-                    x, y = tr.apply(np.array([[kp.x, kp.y]]))[0]
-                    kp = Keypoint(x=float(x), y=float(y), visible=True, confidence=kp.confidence)
-                keypoints.append(kp)
-            instances.append(PoseInstance(inst.instance_id, keypoints))
-        frames.append(PoseFrame(frame.frame_index, instances))
-    return PoseVideo(video.width, video.height, video.skeleton, frames, video.label)
+    xy = video.xy.copy()
+    for row in range(len(video.instance_id)):
+        for joint in range(len(video.skeleton)):
+            if video.visible[row, joint]:
+                xy[row, joint] = tr.apply(xy[row, joint][None])[0]
+    return PoseVideo(**{**columns(video), "xy": xy})
 
 
 def resample_per_frame(video, n):
-    if n == len(video.frames):
+    if n == len(video.frame_index):
         return video
-    picks = resample_indices(len(video.frames), n)
-    frames = [PoseFrame(j, video.frames[picks[j]].instances) for j in range(n)]
-    return PoseVideo(video.width, video.height, video.skeleton, frames, video.label)
+    picks = resample_indices(len(video.frame_index), n)
+    rows, offsets = [], [0]
+    for k in picks:
+        rows.extend(range(video.offsets[k], video.offsets[k + 1]))
+        offsets.append(len(rows))
+    return PoseVideo(
+        **{
+            **columns(video),
+            "frame_index": range(n),
+            "offsets": offsets,
+            "instance_id": video.instance_id[rows],
+            "xy": video.xy[rows],
+            "visible": video.visible[rows],
+            "confidence": video.confidence[rows],
+        }
+    )
 
 
 def edit_per_keypoint(source, transforms, retrieved):
-    """Each instance with an id in ``transforms`` takes, in every source
-    frame, the aligned keypoints of the retrieved frame picked for it."""
+    """Each row whose id is in ``transforms`` takes, in its source frame k,
+    the aligned keypoints of the retrieved frame picked for frame k."""
+    frame_count = len(source.frame_index)
     aligned = {
-        inst_id: resample_per_frame(apply_per_keypoint(tr, retrieved), len(source.frames))
+        inst_id: resample_per_frame(apply_per_keypoint(tr, retrieved), frame_count)
         for inst_id, tr in transforms.items()
     }
-    frames = []
-    for k, frame in enumerate(source.frames):
-        instances = []
-        for inst in frame.instances:
-            if inst.instance_id in aligned:
-                donor = aligned[inst.instance_id].frames[k].instances[0]
-                inst = PoseInstance(inst.instance_id, donor.keypoints)
-            instances.append(inst)
-        frames.append(PoseFrame(frame.frame_index, instances))
-    return PoseVideo(source.width, source.height, source.skeleton, frames, source.label)
+    xy, visible, confidence = source.xy.copy(), source.visible.copy(), source.confidence.copy()
+    for k in range(frame_count):
+        for row in range(source.offsets[k], source.offsets[k + 1]):
+            donor = aligned.get(int(source.instance_id[row]))
+            if donor is not None:  # one person per frame: row k is frame k
+                xy[row], visible[row], confidence[row] = (
+                    donor.xy[k], donor.visible[k], donor.confidence[k]
+                )
+    return PoseVideo(
+        **{**columns(source), "xy": xy, "visible": visible, "confidence": confidence}
+    )
 
 
 def assert_same_bits(got, want):
@@ -411,7 +412,7 @@ def test_resample_video_matches_the_per_frame_reference(video, n):
 
 def test_resample_video_rejects_a_video_without_frames():
     with pytest.raises(ShapeError):
-        resample_video(PoseVideo(width=1, height=1, skeleton=("a",), frames=()), 3)
+        resample_video(pose_video(1, 1, ("a",), []), 3)
 
 
 @given(ragged_videos(min_frames=1, coordinates=ANY_COORDINATES), st.data())
@@ -424,7 +425,7 @@ def test_edit_matches_the_per_keypoint_reference(source, data):
             coordinates=ANY_COORDINATES,
         )
     )
-    first_ids = [inst.instance_id for inst in source.frames[0].instances]
+    first_ids = source.instance_id[: source.offsets[1]].tolist()
     matched = data.draw(st.lists(st.sampled_from(first_ids), unique=True)) if first_ids else []
     assignment = Assignment(
         pairs=tuple(enumerate(matched)),

@@ -13,6 +13,7 @@ from posedit import (
     parse_pose_video,
     parse_pipeline_config,
 )
+from posedit import pose_model
 from posedit.errors import StageError
 from posedit.pipeline import (
     run_align,
@@ -97,6 +98,7 @@ def test_parse_pipeline_config_returns_validated_values():
         ('{"source": 5}', "source"),
         ('{"union_initial_mask": 1}', "boolean"),
         ('{"beta_start": Infinity}', "non-finite"),
+        ('{"seed": -1}', "seed: expected an integer >= 0, got -1"),
         ("[]", "object"),
         ("not json", "invalid JSON"),
     ],
@@ -123,6 +125,7 @@ def test_make_config_flag_overrides_win():
         {"blend_ratio": 1.0},
         {"frame_count": 0},
         {"beta_start": 0.5, "beta_end": 0.1},
+        {"seed": -1},
     ],
 )
 def test_make_config_rejects_out_of_range_values(values):
@@ -241,6 +244,18 @@ def test_run_edit_reproduces_golden(tmp_path):
     assert report["retrieved"][0]["entry_id"] == "dance_01"
     assert report["retrieved"][0]["output"] == "edited.json"
     assert list(report["retrieved"][0]["transforms"]) == ["0"]
+
+
+def test_run_edit_builds_no_pose_frame(tmp_path, monkeypatch):
+    # PoseFrame views exist only behind PoseVideo.frames
+    reads = []
+    frames = pose_model.PoseVideo.frames
+    monkeypatch.setattr(
+        pose_model.PoseVideo, "frames", property(lambda v: reads.append(v) or frames.fget(v))
+    )
+    run_edit(bundle_config("e2e_duo_wave", tmp_path))
+    assert read_out(tmp_path, "edited.json") == read_fixture("e2e_duo_wave", "golden", "edited.json")
+    assert reads == []
 
 
 def test_run_edit_lists_outputs_in_manifest(tmp_path):
@@ -389,6 +404,14 @@ def test_run_ddim_demo_round_trip_and_logs(tmp_path):
     blend_log = load_out(tmp_path, "blend_log.json")
     assert [s["step"] for s in blend_log["steps"]] == list(range(20, 0, -1))
     assert result["max_abs_error"] == round_trip["max_abs_error"]
+
+
+def test_run_ddim_demo_underflowing_schedule_is_a_config_error(tmp_path):
+    # 0.5..0.99 over 5000 steps drives the cumulative alphas to 0
+    cfg = PipelineConfig(out_dir=str(tmp_path), beta_start=0.5, beta_end=0.99, ddim_steps=5000)
+    with pytest.raises(ParseError, match=r"^invalid configuration: alphas\[\d+\] out of"):
+        run_ddim_demo(cfg)
+    assert not os.path.exists(tmp_path / "schedule.json")
 
 
 def test_run_ddim_demo_is_seeded(tmp_path):

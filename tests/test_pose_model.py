@@ -3,6 +3,7 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,10 +12,7 @@ from posedit import (
     COCO_17_JOINTS,
     Assignment,
     GeometryError,
-    Keypoint,
     ParseError,
-    PoseFrame,
-    PoseInstance,
     PoseVideo,
     alignment_transforms,
     edit_pose_video,
@@ -24,7 +22,7 @@ from posedit import (
     resample_video,
     serialize_pose_video,
 )
-from conftest import fixture_path, ragged_videos, read_fixture
+from conftest import columns, fixture_path, pose_video, ragged_videos, read_fixture
 
 TINY_CANONICAL = (
     '{"frames":[{"frame_index":0,"instances":[{"instance_id":0,"keypoints":['
@@ -36,16 +34,17 @@ TINY_CANONICAL = (
 
 
 def tiny_video() -> PoseVideo:
-    kps = (
-        Keypoint(x=1.0, y=2.0, visible=True),
-        Keypoint(x=0.0, y=0.0, visible=False, confidence=0.5),
-        Keypoint(x=3.25, y=0.125, visible=True),
-    )
-    frame = PoseFrame(
-        frame_index=0, instances=(PoseInstance(instance_id=0, keypoints=kps),)
-    )
     return PoseVideo(
-        width=4, height=4, skeleton=("a", "b", "c"), frames=(frame,), label="tiny"
+        width=4,
+        height=4,
+        skeleton=("a", "b", "c"),
+        frame_index=[0],
+        offsets=[0, 1],
+        instance_id=[0],
+        xy=[[[1.0, 2.0], [0.0, 0.0], [3.25, 0.125]]],
+        visible=[[True, False, True]],
+        confidence=[[1.0, 0.5, 1.0]],
+        label="tiny",
     )
 
 
@@ -85,11 +84,7 @@ def test_corpus_files_are_canonical_fixed_points(path):
 
 
 def test_negative_zero_is_normalized():
-    kp = Keypoint(x=-0.0, y=0.0, visible=True)
-    frame = PoseFrame(
-        frame_index=0, instances=(PoseInstance(instance_id=0, keypoints=(kp,)),)
-    )
-    video = PoseVideo(width=1, height=1, skeleton=("j",), frames=(frame,))
+    video = pose_video(1, 1, ("j",), [(0, [(0, [(-0.0, 0.0, True)])])])
     out = serialize_pose_video(video)
     assert '"x":0.000000' in out
     assert "-0.000000" not in out
@@ -110,25 +105,23 @@ def videos(draw):
     for f in range(n_frames):
         instances = []
         for i in range(n_instances):
-            kps = tuple(
-                Keypoint(
-                    x=draw(coordinate),
-                    y=draw(coordinate),
-                    visible=draw(st.booleans()),
-                    confidence=draw(
-                        st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
-                    ),
+            kps = [
+                (
+                    draw(coordinate),
+                    draw(coordinate),
+                    draw(st.booleans()),
+                    draw(st.floats(min_value=0.0, max_value=1.0, allow_nan=False)),
                 )
                 for _ in range(n_joints)
-            )
-            instances.append(PoseInstance(instance_id=i, keypoints=kps))
-        frames.append(PoseFrame(frame_index=f, instances=tuple(instances)))
+            ]
+            instances.append((i, kps))
+        frames.append((f, instances))
     label = draw(st.one_of(st.none(), st.text(max_size=8)))
-    return PoseVideo(
+    return pose_video(
         width=draw(st.integers(min_value=1, max_value=2000)),
         height=draw(st.integers(min_value=1, max_value=2000)),
         skeleton=skeleton,
-        frames=tuple(frames),
+        frames=frames,
         label=label,
     )
 
@@ -152,10 +145,10 @@ def test_parse_preserves_structure(video):
         assert pf.frame_index == vf.frame_index
         for pi, vi in zip(pf.instances, vf.instances):
             assert pi.instance_id == vi.instance_id
-            for pk, vk in zip(pi.keypoints, vi.keypoints):
-                assert pk.visible == vk.visible
-                assert math.isclose(pk.x, vk.x, abs_tol=5e-7)
-                assert math.isclose(pk.y, vk.y, abs_tol=5e-7)
+            assert pi.visible.tolist() == vi.visible.tolist()
+            for (px, py), (vx, vy) in zip(pi.xy.tolist(), vi.xy.tolist()):
+                assert math.isclose(px, vx, abs_tol=5e-7)
+                assert math.isclose(py, vy, abs_tol=5e-7)
 
 
 # --- ragged videos ------------------------------------------------------------------
@@ -180,37 +173,44 @@ def test_column_checks_accept_what_the_walk_accepts(video):
 
 
 def test_zero_frames_and_empty_frames_round_trip():
-    for frames in ((), (PoseFrame(frame_index=3, instances=()),)):
-        video = PoseVideo(width=4, height=4, skeleton=("a", "b"), frames=frames)
+    for frames in ([], [(3, [])]):
+        video = pose_video(4, 4, ("a", "b"), frames)
         text = serialize_pose_video(video)
         assert parse_pose_video(text) == video
         assert serialize_pose_video(parse_pose_video(text)) == text
         assert video.xy.shape == (0, 2, 2)
 
 
-def test_views_compare_equal_to_hand_built_objects():
+def test_views_compare_equal_to_the_constructed_video():
     video = parse_pose_video(TINY_CANONICAL)
     assert video.frames == tiny_video().frames
     inst = video.frames[0].instances[0]
-    assert inst.keypoints == tiny_video().frames[0].instances[0].keypoints
+    assert inst == tiny_video().frames[0].instances[0]
     assert inst.xy.tolist() == [[1.0, 2.0], [0.0, 0.0], [3.25, 0.125]]
+    assert inst.confidence.tolist() == [1.0, 0.5, 1.0]
     assert not inst.xy.flags.writeable
     with pytest.raises(AttributeError):
         inst.instance_id = 5
 
 
-def test_array_paths_build_no_keypoint_objects(monkeypatch):
-    built = []
-    keypoint = pose_model.Keypoint
+def test_views_cannot_be_built_from_objects():
+    with pytest.raises(TypeError):
+        pose_model.PoseFrame(0, ())
+    with pytest.raises(TypeError):
+        pose_model.PoseInstance(0, ())
+
+
+def test_array_paths_build_no_views(monkeypatch):
+    # PoseFrame and PoseInstance views exist only behind PoseVideo.frames
+    reads = []
+    frames = pose_model.PoseVideo.frames
     monkeypatch.setattr(
-        pose_model, "Keypoint", lambda *args: built.append(args) or keypoint(*args)
+        pose_model.PoseVideo, "frames", property(lambda v: reads.append(v) or frames.fget(v))
     )
     source = parse_pose_video(read_fixture("e2e_duo_wave", "source.json"))
     retrieved = parse_pose_video(read_fixture("e2e_duo_wave", "db", "clips", "wave_01.json"))
-    # the walk perfbench/tracing.py makes over every parsed video
-    assert sum(len(frame.instances) for frame in source.frames) > 0
-    working = resample_video(source, 2 * len(source.frames))
-    first_ids = [inst.instance_id for inst in working.frames[0].instances]
+    working = resample_video(source, 2 * len(source.frame_index))
+    first_ids = working.instance_id[: working.offsets[1]].tolist()
     assignment = Assignment(
         pairs=tuple(enumerate(first_ids)), unmatched_detections=(), unmatched_instances=()
     )
@@ -218,50 +218,83 @@ def test_array_paths_build_no_keypoint_objects(monkeypatch):
     edited = edit_pose_video(working, assignment, retrieved, transforms)
     serialize_pose_video(edited)
     out_of_frame_indices(edited)
-    keypoint_bbox(edited.frames[0].instances[0])
-    assert built == []
-    assert edited.frames[0].instances[0].keypoints  # built on request
-    assert len(built) == len(source.skeleton)
+    keypoint_bbox(edited, 0)
+    assert reads == []
+    # the walk perfbench/tracing.py makes over every parsed video
+    assert sum(len(frame.instances) for frame in edited.frames) == len(edited.instance_id)
+    assert reads == [edited]
 
 
 # --- validation and parse failures -------------------------------------------------
 
 
-def test_keypoint_rejects_non_finite():
-    with pytest.raises(ValueError):
-        Keypoint(x=float("nan"), y=0.0, visible=True)
-    with pytest.raises(ValueError):
-        Keypoint(x=0.0, y=0.0, visible=True, confidence=1.5)
+def valid_columns() -> dict:
+    """Two frames of two people over a two-joint skeleton."""
+    return {
+        "width": 4,
+        "height": 4,
+        "skeleton": ("a", "b"),
+        "frame_index": [0, 1],
+        "offsets": [0, 2, 4],
+        "instance_id": [0, 1, 0, 1],
+        "xy": np.zeros((4, 2, 2)),
+        "visible": np.ones((4, 2), dtype=bool),
+        "confidence": np.full((4, 2), 0.5),
+    }
 
 
-def test_frame_rejects_duplicate_instance_ids():
-    kp = (Keypoint(x=0.0, y=0.0, visible=True),)
-    with pytest.raises(ValueError, match="unique"):
-        PoseFrame(
-            frame_index=0,
-            instances=(
-                PoseInstance(instance_id=1, keypoints=kp),
-                PoseInstance(instance_id=1, keypoints=kp),
-            ),
-        )
+def with_value(key, index, value):
+    def change(columns):
+        column = np.array(columns[key])
+        column[index] = value
+        columns[key] = column
+
+    return change
 
 
-def test_video_rejects_wrong_joint_count():
-    kp = (Keypoint(x=0.0, y=0.0, visible=True),)
-    frame = PoseFrame(
-        frame_index=0, instances=(PoseInstance(instance_id=0, keypoints=kp),)
-    )
-    with pytest.raises(ValueError):
-        PoseVideo(width=4, height=4, skeleton=("a", "b"), frames=(frame,))
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (with_value("xy", (1, 0, 0), math.nan), "finite"),
+        (with_value("xy", (3, 1, 1), math.inf), "finite"),
+        (with_value("confidence", (2, 1), 1.5), r"confidence must be in \[0, 1\]"),
+        (with_value("confidence", (0, 0), -0.25), r"confidence must be in \[0, 1\]"),
+        (with_value("confidence", (0, 0), math.nan), r"confidence must be in \[0, 1\]"),
+        (with_value("instance_id", 3, 0), "unique"),
+        (with_value("instance_id", 0, -1), "instance_id must be non-negative"),
+        (with_value("frame_index", 1, 0), "increasing"),
+        (with_value("frame_index", 0, -2), "frame_index must be non-negative"),
+        (with_value("offsets", 1, 5), "never decrease"),
+        (with_value("offsets", 2, 3), r"instance_id has shape \(4,\), expected \(3,\)"),
+        (with_value("width", (), 0), "positive"),
+        (with_value("height", (), -3), "positive"),
+        (lambda c: c.update(skeleton=()), "at least one joint"),
+        (lambda c: c.update(skeleton=("a", "b", "c")), r"xy has shape \(4, 2, 2\)"),
+        (lambda c: c.update(xy=np.zeros((4, 1, 2))), r"xy has shape \(4, 1, 2\)"),
+        (lambda c: c.update(visible=np.ones((4, 3), dtype=bool)), "visible has shape"),
+        (lambda c: c.update(confidence=np.ones(8)), "confidence has shape"),
+        (lambda c: c.update(offsets=[0, 4]), "offsets has shape"),
+        (lambda c: c.update(offsets=[1, 2, 4]), "start at 0"),
+    ],
+)
+def test_constructor_rejects_a_broken_layout(change, message):
+    values = valid_columns()
+    PoseVideo(**values)
+    change(values)
+    with pytest.raises(ValueError, match=message):
+        PoseVideo(**values)
 
 
-def test_video_rejects_non_increasing_frame_index():
-    kp = (Keypoint(x=0.0, y=0.0, visible=True),)
-    mk = lambda f: PoseFrame(
-        frame_index=f, instances=(PoseInstance(instance_id=0, keypoints=kp),)
-    )
-    with pytest.raises(ValueError, match="increasing"):
-        PoseVideo(width=4, height=4, skeleton=("a",), frames=(mk(1), mk(1)))
+def test_constructor_copies_and_freezes_its_columns():
+    values = valid_columns()
+    video = PoseVideo(**values)
+    values["xy"][0, 0, 0] = 9.0
+    assert video.xy[0, 0, 0] == 0.0
+    assert values["xy"].flags.writeable
+    for key in ("frame_index", "offsets", "instance_id", "xy", "visible", "confidence"):
+        assert not getattr(video, key).flags.writeable, key
+    assert PoseVideo(**columns(video)) == video
+    assert video.frame_index.dtype == np.int64 and video.visible.dtype == bool
 
 
 def canonical_doc() -> str:
@@ -303,24 +336,24 @@ def test_parse_rejects_non_object_top_level():
 
 
 def test_keypoint_bbox_spans_visible_points_only():
-    inst = PoseInstance(
-        instance_id=3,
-        keypoints=(
-            Keypoint(x=1.0, y=2.0, visible=True),
-            Keypoint(x=100.0, y=200.0, visible=False),
-            Keypoint(x=5.0, y=-1.0, visible=True),
-        ),
+    video = pose_video(
+        300,
+        300,
+        ("a", "b", "c"),
+        [
+            (0, [(0, [(0.0, 0.0, True)] * 3)]),
+            (1, [(8, [(0.0, 0.0, True)] * 3),
+                 (3, [(1.0, 2.0, True), (100.0, 200.0, False), (5.0, -1.0, True)])]),
+        ],
     )
-    box = keypoint_bbox(inst)
+    box = keypoint_bbox(video, 2)
     assert (box.x_min, box.y_min, box.x_max, box.y_max) == (1.0, -1.0, 5.0, 2.0)
 
 
 def test_keypoint_bbox_requires_a_visible_point():
-    inst = PoseInstance(
-        instance_id=7, keypoints=(Keypoint(x=1.0, y=2.0, visible=False),)
-    )
+    video = pose_video(4, 4, ("a",), [(0, [(2, [(1.0, 2.0, True)]), (7, [(1.0, 2.0, False)])])])
     with pytest.raises(GeometryError, match="instance 7"):
-        keypoint_bbox(inst)
+        keypoint_bbox(video, 1)
 
 
 def test_out_of_frame_indices_flags_escaped_keypoints():
@@ -333,12 +366,5 @@ def test_out_of_frame_indices_flags_escaped_keypoints():
 
 
 def test_out_of_frame_ignores_invisible_points():
-    kps = (
-        Keypoint(x=-5.0, y=0.5, visible=False),
-        Keypoint(x=0.5, y=0.5, visible=True),
-    )
-    frame = PoseFrame(
-        frame_index=0, instances=(PoseInstance(instance_id=0, keypoints=kps),)
-    )
-    video = PoseVideo(width=1, height=1, skeleton=("a", "b"), frames=(frame,))
+    video = pose_video(1, 1, ("a", "b"), [(0, [(0, [(-5.0, 0.5, False), (0.5, 0.5, True)])])])
     assert out_of_frame_indices(video) == ()

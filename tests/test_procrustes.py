@@ -7,18 +7,14 @@ from hypothesis import assume, given, strategies as st
 
 from posedit import (
     GeometryError,
-    Keypoint,
     KeypointSet,
-    PoseFrame,
-    PoseInstance,
-    PoseVideo,
     ShapeError,
     SimilarityTransform2D,
     apply_transform,
     residual,
     solve_similarity,
 )
-from conftest import read_fixture
+from conftest import pose_video, read_fixture
 from oracles import best_similarity_by_scan, pointwise_residual
 
 
@@ -211,21 +207,16 @@ def test_solver_never_loses_to_the_scan_oracle(seed):
 
 
 def small_video():
-    kp_a = Keypoint(x=1.0, y=0.0, visible=True)
-    kp_b = Keypoint(x=0.0, y=1.0, visible=False, confidence=0.25)
-    inst = PoseInstance(instance_id=2, keypoints=(kp_a, kp_b))
-    frame = PoseFrame(frame_index=0, instances=(inst,))
-    return PoseVideo(width=10, height=10, skeleton=("a", "b"), frames=(frame,), label="v")
+    keypoints = [(1.0, 0.0, True), (0.0, 1.0, False, 0.25)]
+    return pose_video(10, 10, ("a", "b"), [(0, [(2, keypoints)])], label="v")
 
 
 def test_apply_transform_moves_only_visible_keypoints():
     video = small_video()
     tr = SimilarityTransform2D(scale=2.0, theta=0.0, translation=(1.0, 1.0))
     out = apply_transform(tr, video)
-    moved, kept = out.frames[0].instances[0].keypoints
-    assert (moved.x, moved.y) == (3.0, 1.0)
-    assert (kept.x, kept.y) == (0.0, 1.0)   # invisible: untouched coordinates
-    assert kept.confidence == 0.25
+    assert out.xy[0].tolist() == [[3.0, 1.0], [0.0, 1.0]]  # invisible: untouched
+    assert out.confidence[0].tolist() == [1.0, 0.25]
     assert out.label == "v"
     assert out.frames[0].instances[0].instance_id == 2
 
@@ -236,18 +227,9 @@ def test_apply_transform_identity_is_a_no_op_on_coordinates():
     assert out == video
 
 
-def test_from_instance_takes_mask_from_visibility():
-    inst = small_video().frames[0].instances[0]
-    ks = KeypointSet.from_instance(inst)
-    assert ks.points.shape == (2, 2)
-    assert ks.mask.tolist() == [True, False]
-
-
+@pytest.mark.filterwarnings("error")
 def test_apply_transform_overflow_is_a_geometry_error():
-    far = PoseInstance(instance_id=0, keypoints=(Keypoint(x=1e300, y=0.0, visible=True),))
-    video = PoseVideo(
-        width=10, height=10, skeleton=("a",), frames=(PoseFrame(frame_index=0, instances=(far,)),)
-    )
+    video = pose_video(10, 10, ("a",), [(0, [(0, [(1e300, 0.0, True)])])])
     tr = SimilarityTransform2D(scale=1e10, theta=0.0, translation=(0.0, 0.0))
     with pytest.raises(GeometryError, match="overflow"):
         apply_transform(tr, video)
