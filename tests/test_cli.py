@@ -178,6 +178,56 @@ def test_retrieve_out_of_range_query_exits_2(tmp_path, capsys):
     assert "values[0]: number must be finite" in err
 
 
+def db_entry(entry_id, values):
+    return {
+        "entry_id": entry_id,
+        "label": entry_id,
+        "embedding": values,
+        "pose_video_path": f"{entry_id}.json",
+    }
+
+
+def written_text(out_dir):
+    text = ""
+    for name in os.listdir(out_dir) if os.path.isdir(out_dir) else ():
+        with open(os.path.join(out_dir, name), "r", encoding="utf-8") as fh:
+            text += fh.read()
+    return text
+
+
+@pytest.mark.parametrize(
+    "db, q, message",
+    [
+        ([[1e200, 1.0], [1.0, 2.0]], [1.0, 1.0], "entry 'a' embedding has a squared norm"),
+        ([[1.0, 2.0], [1e200, 1e200]], [1e200, 1.0], "entry 'b' embedding has a squared norm"),
+        ([[1.0, 2.0], [2.0, 1.0]], [1e200, 1.0], "query embedding has a squared norm"),
+    ],
+)
+def test_retrieve_overflowing_norm_exits_3(tmp_path, capsys, db, q, message):
+    manifest = tmp_path / "db.json"
+    manifest.write_text(
+        json.dumps([db_entry("a", db[0]), db_entry("b", db[1])]), encoding="utf-8"
+    )
+    query = tmp_path / "query.json"
+    query.write_text(json.dumps({"dim": 2, "values": q}), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(
+        capsys,
+        "retrieve",
+        "--db",
+        str(manifest),
+        "--query-embedding",
+        str(query),
+        "--top-k",
+        "2",
+        "--out-dir",
+        str(out_dir),
+    )
+    assert code == 3
+    assert message in err
+    assert "NaN" not in written_text(out_dir)
+
+
 # --- edit -------------------------------------------------------------------------
 
 
@@ -409,6 +459,35 @@ def test_metrics_unreadable_sidecar_exits_3(tmp_path, capsys, ref):
     )
     assert code == 3
     assert f"cannot read {tmp_path / ref}" in err
+
+
+def test_metrics_overflowing_norm_exits_3(tmp_path, capsys):
+    def emb(*values):
+        return {"dim": len(values), "values": list(values)}
+
+    def rec(video_id, values):
+        return {
+            "video_id": video_id,
+            "video_embedding": emb(*values),
+            "frame_embeddings": [emb(*values)],
+        }
+
+    case = {
+        "case_id": "c",
+        "edited": rec("edited", [1e200, 1.0]),
+        "source": rec("source", [1.0, 1.0]),
+        "target_prompt_embedding": emb(1e200, 1e200),
+        "source_prompt_embedding": emb(1.0, 1.0),
+    }
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps([case]), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(
+        capsys, "metrics", "--manifest", str(manifest), "--out-dir", str(out_dir)
+    )
+    assert code == 3
+    assert "overflows" in err
+    assert "NaN" not in written_text(out_dir)
 
 
 # --- determinism ------------------------------------------------------------------

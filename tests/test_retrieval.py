@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import posedit.retrieval
 from posedit import (
     DatabaseError,
     EmbeddingVector,
@@ -130,6 +131,151 @@ def test_query_domain_errors():
         query(db, vec(1.0, 1.0), 0)
     with pytest.raises(DatabaseError, match="k must be"):
         query(db, vec(1.0, 1.0), 2)
+
+
+def test_cosine_refuses_a_norm_product_that_overflows():
+    with pytest.raises(GeometryError, match="overflows"):
+        cosine(vec(1e200, 1.0), vec(1.0, 1.0))
+    with pytest.raises(GeometryError, match="overflows"):
+        cosine(vec(1e100, 1.0), vec(1e300, 1.0))
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ((1e200, 1.0), "squared norm that overflows"),
+        ((1e-200, 0.0), "squared norm that underflows to 0"),
+        ((0.0, -0.0), "zero vector"),
+    ],
+)
+def test_build_index_and_query_refuse_vectors_cosine_cannot_score(values, message):
+    with pytest.raises(DatabaseError, match=f"entry 'e1' embedding .*{message}"):
+        build_index([entry(0, (1.0, 2.0)), entry(1, values), entry(2, (3.0, 1.0))])
+    db = build_index([entry(0, (1.0, 2.0))])
+    with pytest.raises(DatabaseError, match=f"query embedding .*{message}"):
+        query(db, vec(*values), 1)
+
+
+def test_build_index_names_the_first_faulty_entry():
+    with pytest.raises(DatabaseError, match="'e1' embedding is the zero vector"):
+        build_index([entry(0, (1.0, 2.0)), entry(1, (0.0, 0.0)), entry(2, (1.0,))])
+    with pytest.raises(DatabaseError, match="dim"):
+        build_index([entry(0, (1.0, 2.0)), entry(1, (1.0,)), entry(2, (0.0, 0.0))])
+
+
+def test_index_matrix_is_read_only_rows_in_entry_order():
+    db = build_index([entry(0, (1.0, 2.0)), entry(1, (3.0, 4.0)), entry(2, (-1.0, 0.5))])
+    assert db.matrix.dtype == np.float64
+    assert db.matrix.tolist() == [[1.0, 2.0], [3.0, 4.0], [-1.0, 0.5]]
+    assert db.norms.shape == (3,)
+    assert not db.matrix.flags.writeable and not db.norms.flags.writeable
+
+
+# --- prefilter ------------------------------------------------------------------------
+# query() rescores only the entries a matrix product cannot rule out; these
+# check the result against scoring every entry with the scalar-sum oracle.
+
+
+def assert_matches_oracle(rows, q_values, k):
+    db = build_index([entry(i, row) for i, row in enumerate(rows)])
+    got = query(db, vec(*q_values), k)
+    order, scores = ranking_by_sort(q_values, rows, k)
+    assert [eid for eid, _ in got] == [f"e{i}" for i in order]
+    assert [s for _, s in got] == [scores[i] for i in order]
+
+
+@given(
+    st.integers(min_value=1, max_value=60),
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.data(),
+)
+def test_query_matches_the_oracle_on_random_databases(n, dim, seed, data):
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(0.0, 1.0, (n, dim)) * rng.uniform(0.1, 10.0, (n, 1))
+    q_values = rng.normal(0.0, 1.0, dim)
+    k = data.draw(st.integers(min_value=1, max_value=n))
+    assert_matches_oracle(rows.tolist(), q_values.tolist(), k)
+
+
+@given(
+    st.integers(min_value=2, max_value=40),
+    st.integers(min_value=2, max_value=30),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.data(),
+)
+def test_query_matches_the_oracle_when_scores_differ_only_in_rounding(n, dim, seed, data):
+    # against a constant query every permutation of one vector has the same
+    # real cosine, so the computed scores differ only in summation rounding
+    rng = np.random.default_rng(seed)
+    base = rng.normal(0.0, 1.0, dim) * 10.0 ** rng.integers(-3, 4, dim)
+    rows = [rng.permutation(base).tolist() for _ in range(n)]
+    c = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0))
+    k = data.draw(st.integers(min_value=1, max_value=n))
+    assert_matches_oracle(rows, [c] * dim, k)
+
+
+@given(
+    st.integers(min_value=1, max_value=30),
+    st.integers(min_value=2, max_value=20),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.data(),
+)
+def test_query_keeps_exact_tie_blocks_that_straddle_the_kth_place(n, dim, seed, data):
+    # 2x and 4x scalings reproduce a score bit for bit; the copies go to random
+    # places and k cuts the block of three
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(0.0, 1.0, (n, dim)).tolist()
+    q_values = rng.normal(0.0, 1.0, dim).tolist()
+    base = rows[data.draw(st.integers(min_value=0, max_value=n - 1))]
+    for factor in (2.0, 4.0):
+        rows.insert(int(rng.integers(0, len(rows) + 1)), [factor * v for v in base])
+    order, scores = ranking_by_sort(q_values, rows, len(rows))
+    block = [at for at, i in enumerate(order) if scores[i] == scores[rows.index(base)]]
+    assert len(block) >= 3
+    k = block[0] + data.draw(st.integers(min_value=1, max_value=len(block) - 1))
+    assert_matches_oracle(rows, q_values, k)
+
+
+def count_cosine_calls(monkeypatch):
+    calls = []
+    exact = posedit.retrieval.cosine
+
+    def counted(a, b):
+        calls.append(1)
+        return exact(a, b)
+
+    monkeypatch.setattr(posedit.retrieval, "cosine", counted)
+    return calls
+
+
+def test_query_rescores_only_the_top_k_and_exact_ties(monkeypatch):
+    rng = np.random.default_rng(2000)
+    rows = rng.normal(0.0, 1.0, (2000, 64)).tolist()
+    q_values = rng.normal(0.0, 1.0, 64).tolist()
+    db = build_index([entry(i, row) for i, row in enumerate(rows)])
+    order, scores = ranking_by_sort(q_values, rows, 3)
+    ties = sum(1 for s in scores if s == scores[order[-1]]) - 1
+    calls = count_cosine_calls(monkeypatch)
+    got = query(db, vec(*q_values), 3)
+    assert len(calls) <= 3 + ties
+    assert [eid for eid, _ in got] == [f"e{i}" for i in order]
+
+
+def test_query_scores_every_entry_outside_the_bounded_norm_range(monkeypatch):
+    rng = np.random.default_rng(150)
+    rows = rng.normal(0.0, 1.0, (30, 8)).tolist()
+    for i in range(0, 30, 3):
+        rows[i] = [1e150 * v for v in rows[i]]
+    for i in range(1, 30, 3):
+        rows[i] = [1e-150 * v for v in rows[i]]
+    q_values = rng.normal(0.0, 1.0, 8).tolist()
+    calls = count_cosine_calls(monkeypatch)
+    assert_matches_oracle(rows, q_values, 4)
+    assert len(calls) == 30
+    calls.clear()
+    assert_matches_oracle(rows[2::3], [1e150 * v for v in q_values], 2)
+    assert len(calls) == 10
 
 
 def test_embedding_vector_validations():
