@@ -11,8 +11,8 @@ Subcommands mirror the pipeline stages:
 
 Exit codes: 0 success, 2 malformed input (schema or usage), 3 stage failure
 (missing file, missing required input, failed helper process, degenerate
-geometry).  Every command writes all outputs under --out-dir and finishes the
-directory with a manifest.json naming the produced files.
+geometry, unwritable --out-dir).  Every command computes all outputs before it
+writes any under --out-dir, and writes manifest.json, naming them, last.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import os
 import sys
 
 from . import pipeline
-from .config import PATH_FIELDS, make_config, parse_pipeline_config
+from .config import CONFIG_FIELDS, PATH_FIELDS, make_config, parse_pipeline_config
 from .errors import ParseError, PoseditError
 
 
@@ -40,28 +40,11 @@ def _load_config_file(path: str) -> dict:
     return values
 
 
-def _config_from(args: argparse.Namespace, **extra):
+def _config_from(args: argparse.Namespace):
+    """Config-file values overridden by the flags; each flag's dest names the
+    config field it sets."""
     file_values = _load_config_file(args.config) if args.config else None
-    overrides = {
-        key: getattr(args, key, None)
-        for key in (
-            "source",
-            "detections",
-            "answer",
-            "db",
-            "query_embedding",
-            "stack",
-            "manifest",
-            "out_dir",
-            "top_k",
-            "iou_threshold",
-            "blend_ratio",
-        )
-    }
-    if getattr(args, "frames", None) is not None:
-        overrides["frame_count"] = args.frames
-    overrides.update(extra)
-    return make_config(file_values, overrides)
+    return make_config(file_values, {k: v for k, v in vars(args).items() if k in CONFIG_FIELDS})
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -94,7 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--db", help="database manifest file")
     p.add_argument("--query-embedding", dest="query_embedding", help="query embedding file")
     p.add_argument("--top-k", dest="top_k", type=int, help="edited variants to emit")
-    p.add_argument("--frames", type=int, help="output frame count (12 normal, 24 long)")
+    p.add_argument("--frames", dest="frame_count", metavar="FRAMES", type=int,
+                   help="output frame count (12 normal, 24 long)")
     p.add_argument(
         "--iou-threshold", dest="iou_threshold", type=float, help="assignment threshold"
     )
@@ -120,8 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        config = _config_from(args)
         if args.command == "align":
-            config = _config_from(args)
             result = pipeline.run_align(config, args.fixed, args.moving)
             tr = result["transform"]
             print(
@@ -129,12 +113,10 @@ def main(argv=None) -> int:
                 f"t=({tr['translation'][0]:.6f}, {tr['translation'][1]:.6f})"
             )
         elif args.command == "retrieve":
-            config = _config_from(args)
             result = pipeline.run_retrieve(config)
             for row in result["ranking"]:
                 print(f"{row['rank']}. {row['entry_id']} ({row['label']}): {row['score']:.6f}")
         elif args.command == "edit":
-            config = _config_from(args)
             report = pipeline.run_edit(config)
             matched = len(report["assignment"]["pairs"])
             top = report["retrieved"][0]
@@ -145,15 +127,12 @@ def main(argv=None) -> int:
             if "note" in report:
                 print(report["note"])
         elif args.command == "blend-demo":
-            config = _config_from(args)
             result = pipeline.run_blend_demo(config)
             print(f"blended {result['steps']} step(s)")
         elif args.command == "ddim-demo":
-            config = _config_from(args)
             result = pipeline.run_ddim_demo(config)
             print(f"round-trip max abs error: {result['max_abs_error']:.3e}")
         elif args.command == "metrics":
-            config = _config_from(args)
             report = pipeline.run_metrics(config)
             agg = report["aggregates"]
             line = f"vid_acc={agg['vid_acc']:.6f} vid_con={agg['vid_con']:.6f}"

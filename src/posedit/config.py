@@ -10,6 +10,7 @@ own directory by the CLI, which keeps run artifacts relocatable.
 
 from __future__ import annotations
 
+import shlex
 from dataclasses import dataclass, fields
 
 from ._schema import array, boolean, integer, load_json, real, string
@@ -69,7 +70,14 @@ class PipelineConfig:
             raise ValueError(f"latent_dim must be >= 1, got {self.latent_dim}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        try:
+            if self.embedder_command is not None and not shlex.split(self.embedder_command):
+                raise ValueError("names no program")
+        except ValueError as exc:  # e.g. shlex's "No closing quotation"
+            raise ValueError(f"embedder_command: {exc}") from None
 
+
+CONFIG_FIELDS = frozenset(f.name for f in fields(PipelineConfig))
 
 # config fields whose values are filesystem paths
 PATH_FIELDS = frozenset(
@@ -95,10 +103,9 @@ def parse_pipeline_config(text: str) -> dict:
     doc = load_json(text)
     if not isinstance(doc, dict):
         raise ParseError(f"$: expected an object, got {type(doc).__name__}")
-    known = {f.name for f in fields(PipelineConfig)}
     out = {}
     for key, value in doc.items():
-        if key not in known:
+        if key not in CONFIG_FIELDS:
             raise ParseError(f"$: unknown config field {key!r}")
         if key in PATH_FIELDS or key == "embedder_command":  # argv text, not a path
             out[key] = string(value, "$", key, nonempty=True)

@@ -171,14 +171,20 @@ def resample_video(video: PoseVideo, n: int) -> PoseVideo:
     )
 
 
-def _single_instance_or_raise(video: PoseVideo) -> None:
-    counts = np.diff(video.offsets)
+def _donor_or_raise(source: PoseVideo, retrieved: PoseVideo) -> None:
+    # substitution copies keypoints joint by joint, one retrieved row per frame
+    if retrieved.skeleton != source.skeleton:
+        raise ShapeError(
+            f"retrieved video skeleton {list(retrieved.skeleton)} differs from "
+            f"the source skeleton {list(source.skeleton)}"
+        )
+    counts = np.diff(retrieved.offsets)
     bad = np.flatnonzero(counts != 1)
     if bad.size:
         k = bad[0]
         raise ShapeError(
             f"retrieved video must have exactly 1 instance per frame; "
-            f"frame {video.frame_index[k]} has {counts[k]}"
+            f"frame {retrieved.frame_index[k]} has {counts[k]}"
         )
 
 
@@ -193,7 +199,7 @@ def alignment_transforms(
         raise ValueError("source video has no frames")
     if not len(retrieved.frame_index):
         raise ShapeError("retrieved video has no frames")
-    _single_instance_or_raise(retrieved)
+    _donor_or_raise(source, retrieved)
     first_ids = source.instance_id[: source.offsets[1]].tolist()
     first = {inst_id: row for row, inst_id in enumerate(first_ids)}  # id -> row
     moving = KeypointSet(points=retrieved.xy[0], mask=retrieved.visible[0])
@@ -229,7 +235,7 @@ def edit_pose_video(
         return source
     if transforms is None:
         transforms = alignment_transforms(source, assignment, retrieved)
-    _single_instance_or_raise(retrieved)  # so row k of a donor is its frame k
+    _donor_or_raise(source, retrieved)  # so row k of a donor is its frame k
 
     frame_count = len(source.frame_index)
     frame_of_row = np.repeat(np.arange(frame_count), np.diff(source.offsets))

@@ -1,10 +1,10 @@
 """Stage orchestration behind the CLI commands.
 
 Each ``run_*`` function reads its input files, executes the library stages,
-and writes results under an output directory.  Every command finishes by
-writing ``manifest.json`` naming the files it produced, and reports refer to
-outputs by out-dir-relative name only, so a rerun on the same inputs is
-byte-identical wherever the directory lives.
+and only then hands every output to :func:`_publish`, so a command that fails
+writes nothing.  Publishing ends with ``manifest.json`` naming the files the
+run produced, and reports refer to outputs by out-dir-relative name only, so
+a rerun on the same inputs is byte-identical wherever the directory lives.
 
 The three model-shaped dependencies (answer text, detections, embeddings)
 arrive as files.  Optionally an external embedder command can be configured;
@@ -14,6 +14,7 @@ which keeps real models pluggable without this package importing any.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import shlex
@@ -112,10 +113,18 @@ def _read(path: str) -> str:
 
 
 def _write(out_dir: str, name: str, text: str) -> str:
-    os.makedirs(out_dir, exist_ok=True)
+    """Write ``text`` to a temp file in ``out_dir``, then rename it to ``name``."""
     path = os.path.join(out_dir, name)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    tmp = os.path.join(out_dir, f".{name}.{os.getpid()}.tmp")
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        with contextlib.suppress(OSError, ValueError):
+            os.remove(tmp)
+        raise StageError(f"cannot write {path}: {exc}") from exc
     return name
 
 
@@ -123,8 +132,19 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _write_manifest(out_dir: str, names: list[str]) -> None:
-    _write(out_dir, "manifest.json", _dump({"files": sorted(names)}))
+def _publish(out_dir: str, files: dict[str, str]) -> list[str]:
+    """Write one run's ``{name: text}`` outputs, then ``manifest.json`` naming
+    them; return the sorted names.  An older manifest goes first, so the files
+    a ``manifest.json`` names always come from one complete run."""
+    manifest = os.path.join(out_dir, "manifest.json")
+    try:
+        if os.path.lexists(manifest):
+            os.remove(manifest)
+    except OSError as exc:
+        raise StageError(f"cannot write {manifest}: {exc}") from exc
+    names = sorted(_write(out_dir, name, text) for name, text in files.items())
+    _write(out_dir, "manifest.json", _dump({"files": names}))
+    return names
 
 
 def _needed(value, flag: str):
@@ -182,21 +202,19 @@ def run_align(config: PipelineConfig, fixed_path: str, moving_path: str) -> dict
     tr = solve_similarity(fixed_set, moving_set)
     aligned = apply_transform(tr, moving)
 
-    names = [
-        _write(
-            out_dir,
-            "transform.json",
-            _dump(
+    names = _publish(
+        out_dir,
+        {
+            "transform.json": _dump(
                 {
                     "transform": _transform_doc(tr),
                     "residual": residual(tr, fixed_set, moving_set),
                 }
             ),
-        ),
-        _write(out_dir, "aligned.json", serialize_pose_video(aligned)),
-    ]
-    _write_manifest(out_dir, names)
-    return {"transform": _transform_doc(tr), "outputs": sorted(names)}
+            "aligned.json": serialize_pose_video(aligned),
+        },
+    )
+    return {"transform": _transform_doc(tr), "outputs": names}
 
 
 def run_retrieve(config: PipelineConfig) -> dict:
@@ -219,9 +237,8 @@ def run_retrieve(config: PipelineConfig) -> dict:
         }
         for i, (entry_id, score) in enumerate(ranked)
     ]
-    names = [_write(out_dir, "retrieval.json", _dump({"ranking": ranking}))]
-    _write_manifest(out_dir, names)
-    return {"ranking": ranking, "outputs": sorted(names)}
+    names = _publish(out_dir, {"retrieval.json": _dump({"ranking": ranking})})
+    return {"ranking": ranking, "outputs": names}
 
 
 def _embed_answer(config: PipelineConfig, answer: AnswerRecord):
@@ -233,10 +250,9 @@ def _embed_answer(config: PipelineConfig, answer: AnswerRecord):
             "missing required input: supply --query-embedding or configure "
             "embedder_command"
         )
-    argv = shlex.split(config.embedder_command)
     try:
         proc = subprocess.run(
-            argv,
+            shlex.split(config.embedder_command),
             input=answer.raw,
             capture_output=True,
             text=True,
@@ -283,7 +299,7 @@ def run_edit(config: PipelineConfig) -> dict:
     by_id = {e.entry_id: e for e in db.entries}
     db_dir = os.path.dirname(os.path.abspath(db_path))
 
-    names = []
+    files = {}
     per_entry = []
     for i, (entry_id, score) in enumerate(ranked):
         entry = by_id[entry_id]
@@ -294,7 +310,7 @@ def run_edit(config: PipelineConfig) -> dict:
         transforms = alignment_transforms(working, assignment, retrieved)
         edited = edit_pose_video(working, assignment, retrieved, transforms)
         out_name = "edited.json" if len(ranked) == 1 else f"edited_{i + 1:02d}.json"
-        names.append(_write(out_dir, out_name, serialize_pose_video(edited)))
+        files[out_name] = serialize_pose_video(edited)
         per_entry.append(
             {
                 "rank": i + 1,
@@ -331,8 +347,8 @@ def run_edit(config: PipelineConfig) -> dict:
     }
     if not assignment.pairs:
         report["note"] = "no individuals matched"
-    names.append(_write(out_dir, "report.json", _dump(report)))
-    _write_manifest(out_dir, names)
+    files["report.json"] = _dump(report)
+    _publish(out_dir, files)
     return report
 
 
@@ -354,9 +370,8 @@ def run_blend_demo(config: PipelineConfig) -> dict:
         "union_initial_mask": config.union_initial_mask,
         "steps": _steps_doc(records),
     }
-    names = [_write(out_dir, "blended.json", _dump(doc))]
-    _write_manifest(out_dir, names)
-    return {"steps": len(records), "outputs": sorted(names)}
+    names = _publish(out_dir, {"blended.json": _dump(doc)})
+    return {"steps": len(records), "outputs": names}
 
 
 def run_ddim_demo(config: PipelineConfig) -> dict:
@@ -402,41 +417,29 @@ def run_ddim_demo(config: PipelineConfig) -> dict:
         stack, config.tokens, config.blend_ratio, config.union_initial_mask
     )
 
-    names = [
-        _write(
-            out_dir,
-            "schedule.json",
-            _dump(
-                {
-                    "T": sched.steps,
-                    "beta_start": sched.beta_start,
-                    "beta_end": sched.beta_end,
-                    "alphas": list(sched.alphas),
-                }
-            ),
-        ),
-        _write(
-            out_dir,
-            "round_trip.json",
-            _dump(
-                {
-                    "seed": config.seed,
-                    "latent_dim": config.latent_dim,
-                    "z0": [float(v) for v in z0.values],
-                    "z_top": [float(v) for v in z_top.values],
-                    "z0_reconstructed": [float(v) for v in reconstructed.values],
-                    "max_abs_error": round_trip_error,
-                }
-            ),
-        ),
-        _write(
-            out_dir,
-            "blend_log.json",
-            _dump({"steps": _steps_doc(blended)}),
-        ),
-    ]
-    _write_manifest(out_dir, names)
-    return {"max_abs_error": round_trip_error, "outputs": sorted(names)}
+    schedule = {
+        "T": sched.steps,
+        "beta_start": sched.beta_start,
+        "beta_end": sched.beta_end,
+        "alphas": list(sched.alphas),
+    }
+    round_trip = {
+        "seed": config.seed,
+        "latent_dim": config.latent_dim,
+        "z0": [float(v) for v in z0.values],
+        "z_top": [float(v) for v in z_top.values],
+        "z0_reconstructed": [float(v) for v in reconstructed.values],
+        "max_abs_error": round_trip_error,
+    }
+    names = _publish(
+        out_dir,
+        {
+            "schedule.json": _dump(schedule),
+            "round_trip.json": _dump(round_trip),
+            "blend_log.json": _dump({"steps": _steps_doc(blended)}),
+        },
+    )
+    return {"max_abs_error": round_trip_error, "outputs": names}
 
 
 def run_metrics(config: PipelineConfig) -> dict:
@@ -499,9 +502,7 @@ def run_metrics(config: PipelineConfig) -> dict:
     if has_gt:
         lines.append(f"gt_con   {aggregates['gt_con']:.6f}")
 
-    names = [
-        _write(out_dir, "report.json", _dump(report)),
-        _write(out_dir, "report.txt", "\n".join(lines) + "\n"),
-    ]
-    _write_manifest(out_dir, names)
+    _publish(
+        out_dir, {"report.json": _dump(report), "report.txt": "\n".join(lines) + "\n"}
+    )
     return report

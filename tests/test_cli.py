@@ -1,9 +1,14 @@
+import argparse
+import errno
 import filecmp
 import json
 import os
+import shutil
+from dataclasses import fields
 
 import pytest
 
+from posedit import PipelineConfig
 from posedit.cli import build_parser, main
 from conftest import fixture_path, read_fixture
 
@@ -30,6 +35,17 @@ def test_parser_requires_a_command():
 def test_parser_rejects_unknown_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["transmogrify"])
+
+
+def test_every_option_dest_is_a_config_field():
+    # flags override the config field named by their dest; a misspelt dest
+    # would be dropped without a trace
+    config_fields = {f.name for f in fields(PipelineConfig)}
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for name, sub in commands.choices.items():
+        dests = {a.dest for a in sub._actions if not isinstance(a, argparse._HelpAction)}
+        assert dests - {"command", "config", "fixed", "moving"} <= config_fields, name
 
 
 # --- align ------------------------------------------------------------------------
@@ -340,6 +356,42 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     assert "cannot read config" in err
 
 
+def copy_bundle(tmp_path, bundle):
+    dest = tmp_path / bundle
+    shutil.copytree(fixture_path(bundle), dest)
+    return dest
+
+
+def test_malformed_embedder_command_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"embedder_command": "cat 'unterminated"}), encoding="utf-8")
+    argv = edit_flags("e2e_girl_dance", tmp_path / "out")
+    i = argv.index("--query-embedding")
+    del argv[i : i + 2]
+    code, out, err = run_cli(capsys, *argv, "--config", str(cfg_path))
+    assert code == 2
+    assert "invalid configuration: embedder_command: No closing quotation" in err
+    assert not os.path.exists(tmp_path / "out")
+
+
+def test_edit_refuses_a_clip_whose_skeleton_differs_from_the_source(tmp_path, capsys):
+    bundle = copy_bundle(tmp_path, "e2e_girl_dance")
+    clip = bundle / "db" / "clips" / "dance_01.json"
+    doc = json.loads(clip.read_text(encoding="utf-8"))
+    doc["skeleton"].reverse()  # the same joints and motion, listed in reverse order
+    for frame in doc["frames"]:
+        for instance in frame["instances"]:
+            instance["keypoints"].reverse()
+    clip.write_text(json.dumps(doc), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(
+        capsys, "edit", "--config", str(bundle / "config.json"), "--out-dir", str(out_dir)
+    )
+    assert code == 3
+    assert "retrieved video skeleton" in err
+    assert not os.path.exists(out_dir)
+
+
 def test_unknown_config_field_exits_2(tmp_path, capsys):
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text('{"frame_cont": 24}', encoding="utf-8")
@@ -488,6 +540,65 @@ def test_metrics_overflowing_norm_exits_3(tmp_path, capsys):
     assert code == 3
     assert "overflows" in err
     assert "NaN" not in written_text(out_dir)
+
+
+# --- publishing -------------------------------------------------------------------
+
+
+def tree_bytes(root):
+    return {name: (root / name).read_bytes() for name in sorted(os.listdir(root))}
+
+
+@pytest.mark.parametrize("below", [None, "sub"])
+def test_unwritable_out_dir_exits_3(tmp_path, capsys, below):
+    blocker = tmp_path / "file"
+    blocker.write_text("kept", encoding="utf-8")
+    out_dir = blocker if below is None else blocker / below
+    code, out, err = run_cli(capsys, "ddim-demo", "--out-dir", str(out_dir))
+    assert code == 3
+    assert err.startswith(f"error: cannot write {out_dir}")
+    assert "Traceback" not in err
+    assert blocker.read_text(encoding="utf-8") == "kept"
+
+
+def test_failed_rerun_leaves_the_previous_tree_byte_identical(tmp_path, capsys):
+    bundle = copy_bundle(tmp_path, "e2e_duo_wave")
+    out_dir = tmp_path / "out"
+    argv = ["edit", "--config", str(bundle / "config.json"), "--top-k", "3",
+            "--out-dir", str(out_dir)]
+    assert run_cli(capsys, *argv)[0] == 0
+    first = tree_bytes(out_dir)
+    assert sorted(first) == [
+        "edited_01.json", "edited_02.json", "edited_03.json", "manifest.json", "report.json"
+    ]
+    rank2 = load_out(out_dir, "report.json")["retrieved"][1]["entry_id"]
+    entries = json.loads((bundle / "db" / "manifest.json").read_text(encoding="utf-8"))
+    (path,) = [e["pose_video_path"] for e in entries if e["entry_id"] == rank2]
+    os.remove(bundle / "db" / path)
+
+    code, out, err = run_cli(capsys, *argv, "--frames", "24")
+    assert code == 3
+    assert "cannot read" in err
+    assert tree_bytes(out_dir) == first
+
+
+def test_failed_write_leaves_no_manifest(tmp_path, capsys, monkeypatch):
+    out_dir = tmp_path / "out"
+    assert run_cli(capsys, "ddim-demo", "--out-dir", str(out_dir))[0] == 0
+    replace, calls = os.replace, []
+
+    def second_write_fails(src, dst):
+        calls.append(dst)
+        if len(calls) == 2:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", second_write_fails)
+    code, out, err = run_cli(capsys, "ddim-demo", "--out-dir", str(out_dir))
+    assert code == 3
+    assert "cannot write" in err and "No space left on device" in err
+    # no manifest vouches for the half-written tree, and no temp file is left
+    assert sorted(os.listdir(out_dir)) == ["blend_log.json", "round_trip.json", "schedule.json"]
 
 
 # --- determinism ------------------------------------------------------------------

@@ -265,6 +265,31 @@ def test_edit_requires_single_instance_retrieved_clip():
         edit_pose_video(source, assignment, multi)
 
 
+def test_edit_refuses_a_clip_whose_skeleton_differs_from_the_source():
+    source = parse_pose_video(read_fixture("e2e_girl_dance", "source.json"))
+    retrieved = parse_pose_video(
+        read_fixture("e2e_girl_dance", "db", "clips", "dance_01.json")
+    )
+    # the same motion, with its joints listed in reverse order
+    reversed_joints = PoseVideo(
+        **{
+            **columns(retrieved),
+            "skeleton": retrieved.skeleton[::-1],
+            "xy": retrieved.xy[:, ::-1],
+            "visible": retrieved.visible[:, ::-1],
+            "confidence": retrieved.confidence[:, ::-1],
+        }
+    )
+    assignment = Assignment(
+        pairs=((0, 0),), unmatched_detections=(), unmatched_instances=(1,)
+    )
+    with pytest.raises(ShapeError, match="skeleton"):
+        alignment_transforms(source, assignment, reversed_joints)
+    transforms = alignment_transforms(source, assignment, retrieved)
+    with pytest.raises(ShapeError, match="skeleton"):
+        edit_pose_video(source, assignment, reversed_joints, transforms)
+
+
 def test_edit_rejects_unknown_instance_id():
     source = two_frame_video()
     assignment = Assignment(

@@ -133,6 +133,22 @@ def test_make_config_rejects_out_of_range_values(values):
         make_config(values)
 
 
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        ("cat 'unterminated", "embedder_command: No closing quotation"),
+        ("   ", "embedder_command: names no program"),
+    ],
+)
+def test_make_config_rejects_an_embedder_command_that_splits_into_no_argv(command, message):
+    expected = f"invalid configuration: {message}"
+    with pytest.raises(ParseError, match=expected):
+        make_config({"embedder_command": command})
+    file_values = parse_pipeline_config(json.dumps({"embedder_command": command}))
+    with pytest.raises(ParseError, match=expected):
+        make_config(file_values)
+
+
 # --- align stage ----------------------------------------------------------------------
 
 
