@@ -128,27 +128,30 @@ def string(node, path, *keys, nonempty=False) -> str:
 def finite_floats(column: list) -> list[float] | None:
     """``column`` as floats when every item is a finite number, else None.
 
-    Whole-list builtins only: a caller that gets None walks the column with
-    :func:`real` to name the first bad item.
+    Each item is checked once, by whole-list builtins: a column of floats is
+    returned as it is, not copied, and only a column holding an int is
+    converted.  A caller that gets None walks the column with :func:`real`
+    to name the first bad item.
     """
-    if set(map(type, column)) <= _NUMBER_TYPES:
+    kinds = set(map(type, column))
+    if not kinds <= _NUMBER_TYPES:
+        return None
+    if int in kinds:
         try:
-            values = list(map(float, column))
+            column = list(map(float, column))
         except OverflowError:
             return None
-        # a non-finite item makes the sum non-finite; finite items whose sum
-        # overflows only send the column to the caller's walk
-        if math.isfinite(sum(values)):
-            return values
-    return None
+    # a non-finite item makes the sum non-finite; finite items whose sum
+    # overflows only send the column to the caller's walk
+    return column if math.isfinite(sum(column)) else None
 
 
 def reals(node, path, *keys, nonempty=False, nonneg=False) -> list[float]:
     """An array of finite numbers (non-negative with ``nonneg``) as floats.
 
-    The common all-valid array is checked with :func:`finite_floats`; only
-    when that fails is each element checked in turn, to name the first bad
-    index.
+    The common all-valid array is checked with :func:`finite_floats`, and an
+    array of floats is returned as parsed; only when that check fails is each
+    element checked in turn, to name the first bad index.
     """
     array(node, path, *keys, nonempty=nonempty)
     values = finite_floats(node)

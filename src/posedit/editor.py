@@ -171,13 +171,22 @@ def resample_video(video: PoseVideo, n: int) -> PoseVideo:
     )
 
 
+def same_skeleton_or_raise(
+    reference: PoseVideo, other: PoseVideo, names=("source", "retrieved")
+) -> None:
+    """ShapeError unless ``other`` lists the joints of ``reference`` in the
+    same order: alignment pairs keypoints up by position.  ``names`` are the
+    two clips' roles in the message."""
+    if other.skeleton != reference.skeleton:
+        raise ShapeError(
+            f"{names[1]} video skeleton {list(other.skeleton)} differs from "
+            f"the {names[0]} skeleton {list(reference.skeleton)}"
+        )
+
+
 def _donor_or_raise(source: PoseVideo, retrieved: PoseVideo) -> None:
     # substitution copies keypoints joint by joint, one retrieved row per frame
-    if retrieved.skeleton != source.skeleton:
-        raise ShapeError(
-            f"retrieved video skeleton {list(retrieved.skeleton)} differs from "
-            f"the source skeleton {list(source.skeleton)}"
-        )
+    same_skeleton_or_raise(source, retrieved)
     counts = np.diff(retrieved.offsets)
     bad = np.flatnonzero(counts != 1)
     if bad.size:

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._schema import load_json
 from .blending import (
     AttentionStack,
     Mask,
@@ -46,6 +47,7 @@ from .editor import (
     out_of_bounds_detections,
     parse_detections,
     resample_video,
+    same_skeleton_or_raise,
 )
 from .errors import ParseError, StageError
 from .metrics import gt_con, parse_metric_cases, prompt_hit, vid_con
@@ -132,16 +134,46 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def _named_by_manifest(manifest: str) -> set[str]:
+    """The plain file names (no directory part, not ``.``, ``..`` or
+    ``manifest.json``) that an earlier run's ``manifest`` lists; none when it
+    is missing or unreadable."""
+    if not os.path.isfile(manifest):  # never open a FIFO or a directory
+        return set()
+    try:
+        with open(manifest, "r", encoding="utf-8") as fh:
+            doc = load_json(fh.read())
+    except (OSError, ValueError, ParseError):  # ValueError: undecodable bytes
+        return set()
+    names = doc.get("files") if isinstance(doc, dict) else None
+    if not isinstance(names, list):
+        return set()
+    return {
+        name
+        for name in names
+        if isinstance(name, str)
+        and name not in ("", ".", "..", "manifest.json")
+        and os.path.basename(name) == name
+    }
+
+
 def _publish(out_dir: str, files: dict[str, str]) -> list[str]:
     """Write one run's ``{name: text}`` outputs, then ``manifest.json`` naming
-    them; return the sorted names.  An older manifest goes first, so the files
-    a ``manifest.json`` names always come from one complete run."""
+    them; return the sorted names.  An older manifest goes first, together
+    with the files it names that this run does not write: the files a
+    ``manifest.json`` names always come from one complete run, and a rerun
+    leaves none of the previous run's outputs behind."""
     manifest = os.path.join(out_dir, "manifest.json")
+    stale = sorted(_named_by_manifest(manifest) - set(files))
     try:
         if os.path.lexists(manifest):
             os.remove(manifest)
+        for name in stale:
+            path = os.path.join(out_dir, name)
+            if os.path.isfile(path):
+                os.remove(path)
     except OSError as exc:
-        raise StageError(f"cannot write {manifest}: {exc}") from exc
+        raise StageError(f"cannot write {exc.filename}: {exc}") from exc
     names = sorted(_write(out_dir, name, text) for name, text in files.items())
     _write(out_dir, "manifest.json", _dump({"files": names}))
     return names
@@ -183,8 +215,9 @@ def _steps_doc(records) -> list[dict]:
 def run_align(config: PipelineConfig, fixed_path: str, moving_path: str) -> dict:
     """Solve the first-frame similarity transform and apply it to a whole clip.
 
-    Both clips must carry exactly one instance in their first frame.  Writes
-    ``transform.json`` and the transformed clip ``aligned.json``.
+    Both clips must carry exactly one instance in their first frame and list
+    the same joints in the same order.  Writes ``transform.json`` and the
+    transformed clip ``aligned.json``.
     """
     out_dir = _needed(config.out_dir, "--out-dir")
     fixed = parse_pose_video(_read(fixed_path))
@@ -197,6 +230,7 @@ def run_align(config: PipelineConfig, fixed_path: str, moving_path: str) -> dict
                 f"{name} video must have exactly 1 instance in its first frame, "
                 f"got {video.offsets[1]}"
             )
+    same_skeleton_or_raise(fixed, moving, ("fixed", "moving"))
     fixed_set = KeypointSet(points=fixed.xy[0], mask=fixed.visible[0])
     moving_set = KeypointSet(points=moving.xy[0], mask=moving.visible[0])
     tr = solve_similarity(fixed_set, moving_set)
@@ -301,12 +335,14 @@ def run_edit(config: PipelineConfig) -> dict:
 
     files = {}
     per_entry = []
+    clips = {}  # resolved path -> parsed clip: entries may share a clip file
     for i, (entry_id, score) in enumerate(ranked):
         entry = by_id[entry_id]
-        video_path = entry.pose_video_path
-        if not os.path.isabs(video_path):
-            video_path = os.path.join(db_dir, video_path)
-        retrieved = parse_pose_video(_read(video_path))
+        video_path = os.path.join(db_dir, entry.pose_video_path)  # kept if absolute
+        key = os.path.realpath(video_path)
+        if key not in clips:
+            clips[key] = parse_pose_video(_read(video_path))
+        retrieved = clips[key]
         transforms = alignment_transforms(working, assignment, retrieved)
         edited = edit_pose_video(working, assignment, retrieved, transforms)
         out_name = "edited.json" if len(ranked) == 1 else f"edited_{i + 1:02d}.json"

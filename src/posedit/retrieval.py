@@ -33,7 +33,31 @@ _NORM_MAX = 2.0**400
 
 @dataclass(frozen=True)
 class EmbeddingVector:
+    """A nonempty vector of finite floats.
+
+    ``values`` is a tuple, except in the entries :func:`parse_db_manifest`
+    returns: each keeps its validated row as the list it was parsed into,
+    which nothing writes to.  Equality and hashing go by the values either
+    way.
+    """
+
     values: tuple[float, ...]
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return tuple(self.values) == tuple(other.values)
+
+    def __hash__(self):
+        return hash(tuple(self.values))
+
+    @classmethod
+    def _view(cls, values):
+        """An embedding holding ``values`` as given, for parsers that have
+        already checked them; the public constructor checks again."""
+        embedding = cls.__new__(cls)
+        object.__setattr__(embedding, "values", values)
+        return embedding
 
     def __post_init__(self):
         values = tuple(map(float, self.values))
@@ -239,7 +263,7 @@ def embedding_from_node(node, path: str = "$") -> EmbeddingVector:
         raise ParseError(
             f"{name(path, 'values')}: length {len(values)} does not match dim {dim}"
         )
-    return EmbeddingVector(values=values)
+    return EmbeddingVector._view(tuple(values))
 
 
 def parse_embedding(text: str) -> EmbeddingVector:
@@ -262,8 +286,8 @@ def parse_db_manifest(text: str) -> list[PoseDbEntry]:
             PoseDbEntry(
                 entry_id=string(node["entry_id"], path, "entry_id", nonempty=True),
                 label=string(node["label"], path, "label", nonempty=True),
-                embedding=EmbeddingVector(
-                    values=reals(node["embedding"], path, "embedding", nonempty=True)
+                embedding=EmbeddingVector._view(
+                    reals(node["embedding"], path, "embedding", nonempty=True)
                 ),
                 pose_video_path=string(
                     node["pose_video_path"], path, "pose_video_path", nonempty=True

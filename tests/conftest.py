@@ -1,3 +1,4 @@
+import json
 import os
 
 import numpy as np
@@ -30,6 +31,17 @@ def fixture_path(*parts: str) -> str:
 def read_fixture(*parts: str) -> str:
     with open(fixture_path(*parts), "r", encoding="utf-8") as fh:
         return fh.read()
+
+
+def joints_reversed(text: str) -> str:
+    """A pose-video document with the same joints and motion, its skeleton
+    and every keypoint list in reverse order."""
+    doc = json.loads(text)
+    doc["skeleton"].reverse()
+    for frame in doc["frames"]:
+        for instance in frame["instances"]:
+            instance["keypoints"].reverse()
+    return json.dumps(doc)
 
 
 def pose_video(width, height, skeleton, frames, label=None) -> PoseVideo:

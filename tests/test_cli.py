@@ -10,7 +10,7 @@ import pytest
 
 from posedit import PipelineConfig
 from posedit.cli import build_parser, main
-from conftest import fixture_path, read_fixture
+from conftest import fixture_path, joints_reversed, read_fixture
 
 
 def run_cli(capsys, *argv):
@@ -69,6 +69,21 @@ def test_align_prints_the_solved_transform(tmp_path, capsys):
         "manifest.json",
         "transform.json",
     ]
+
+
+def test_align_refuses_clips_whose_skeletons_differ(tmp_path, capsys):
+    moving = tmp_path / "moving.json"
+    moving.write_text(joints_reversed(read_fixture("align", "moving.json")), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(
+        capsys, "align", fixture_path("align", "fixed.json"), str(moving),
+        "--out-dir", str(out_dir),
+    )
+    assert code == 3
+    assert err.startswith("error: moving video skeleton [")
+    assert "differs from the fixed skeleton" in err
+    assert out == ""
+    assert not os.path.exists(out_dir)
 
 
 def test_align_malformed_input_exits_2(tmp_path, capsys):
@@ -580,6 +595,53 @@ def test_failed_rerun_leaves_the_previous_tree_byte_identical(tmp_path, capsys):
     assert code == 3
     assert "cannot read" in err
     assert tree_bytes(out_dir) == first
+
+
+def test_rerun_removes_the_outputs_the_previous_manifest_named(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    argv = [*edit_flags("e2e_duo_wave", out_dir), "--top-k"]
+    assert run_cli(capsys, *argv, "3")[0] == 0
+    assert "edited_03.json" in os.listdir(out_dir)
+    (out_dir / "notes.txt").write_text("not an output", encoding="utf-8")
+    assert run_cli(capsys, *argv, "1")[0] == 0
+    assert sorted(os.listdir(out_dir)) == [
+        "edited.json", "manifest.json", "notes.txt", "report.json"
+    ]
+    assert (out_dir / "edited.json").read_text(encoding="utf-8") == read_fixture(
+        "e2e_duo_wave", "golden", "edited.json"
+    )
+
+
+def test_rerun_removes_only_plain_names_inside_the_out_dir(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    (out_dir / "sub").mkdir(parents=True)
+    kept = [tmp_path / "outside.json", out_dir / "sub" / "inner.json", out_dir / "sub.json"]
+    for path in kept:
+        path.write_text("kept", encoding="utf-8")
+    stale = out_dir / "old.json"
+    stale.write_text("stale", encoding="utf-8")
+    names = ["../outside.json", "sub/inner.json", str(kept[0]), "sub", "..", ".", "",
+             "manifest.json", 7, "old.json"]
+    (out_dir / "manifest.json").write_text(json.dumps({"files": names}), encoding="utf-8")
+    assert run_cli(capsys, "ddim-demo", "--out-dir", str(out_dir))[0] == 0
+    assert all(path.read_text(encoding="utf-8") == "kept" for path in kept)
+    assert not stale.exists()
+    assert load_out(out_dir, "manifest.json") == {
+        "files": ["blend_log.json", "round_trip.json", "schedule.json"]
+    }
+
+
+@pytest.mark.parametrize("manifest", ["[1, 2", '{"files": "old.json"}', "[]", None])
+def test_an_unreadable_previous_manifest_names_nothing(tmp_path, capsys, manifest):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    (out_dir / "old.json").write_text("kept", encoding="utf-8")
+    if manifest is None:
+        (out_dir / "manifest.json").write_bytes(b'{"files": ["old.json"]}\xff')
+    else:
+        (out_dir / "manifest.json").write_text(manifest, encoding="utf-8")
+    assert run_cli(capsys, "ddim-demo", "--out-dir", str(out_dir))[0] == 0
+    assert (out_dir / "old.json").read_text(encoding="utf-8") == "kept"
 
 
 def test_failed_write_leaves_no_manifest(tmp_path, capsys, monkeypatch):

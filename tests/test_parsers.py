@@ -5,12 +5,15 @@ import json
 import os
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from posedit import (
+    DatabaseError,
+    EmbeddingVector,
     ParseError,
     PoseditError,
     StageError,
+    build_index,
     parse_attention_stack,
     parse_db_manifest,
     parse_detections,
@@ -18,8 +21,10 @@ from posedit import (
     parse_metric_cases,
     parse_pipeline_config,
     parse_pose_video,
+    query,
 )
 from conftest import fixture_path, read_fixture
+from oracles import ranking_by_sort
 
 
 def read_sidecar(ref):
@@ -265,3 +270,260 @@ def test_fixture_with_one_node_swapped_only_raises_posedit_errors(parser, data, 
         parent = parent[key]
     parent[path[-1]] = value
     parses_or_refuses(parser, json.dumps(doc))
+
+
+# --- embeddings: each value is checked once, faults keep their order -------------
+
+NUM = '"NUM"'  # stands for a number literal that json.dumps cannot write
+
+# a bad value's literal and how the error describes it
+VALUE_FAULTS = {
+    "true": ("true", "expected a number, got True"),
+    '"1.5"': ('"1.5"', "expected a number, got '1.5'"),
+    "null": ("null", "expected a number, got None"),
+    "1e999": ("1e999", "number must be finite"),
+    "10**400": ("1" + "0" * 400, "number must be finite"),
+}
+
+
+def parse_error(parse, text):
+    with pytest.raises(ParseError) as caught:
+        parse(text)
+    return str(caught.value)
+
+
+def db_doc():
+    """Three valid entries whose rows mix ints and floats."""
+    return [
+        {"entry_id": f"e{i}", "label": "wave", "embedding": [0.5, 1, -2.0 - i],
+         "pose_video_path": f"clips/{i}.json"}
+        for i in range(3)
+    ]
+
+
+def _db_set(i, key, value):
+    return lambda doc: doc[i].__setitem__(key, value)
+
+
+def _db_value(i, j, value):
+    return lambda doc: doc[i]["embedding"].__setitem__(j, value)
+
+
+def _db_drop(i, key):
+    return lambda doc: doc[i].pop(key)
+
+
+def _steps(*mutations):
+    return lambda node: [mutate(node) for mutate in mutations]
+
+
+DB_FAULTS = {
+    "embedding not a list": (_db_set(1, "embedding", {"dim": 3}),
+                             "$[1].embedding: expected an array, got dict"),
+    "embedding a number": (_db_set(1, "embedding", 0.5),
+                           "$[1].embedding: expected an array, got float"),
+    "empty row": (_db_set(1, "embedding", []), "$[1].embedding: must not be empty"),
+    "missing field": (_db_drop(1, "label"), "$[1]: missing field 'label'"),
+    "bad value, then a later entry's missing field": (
+        _steps(_db_value(0, 1, True), _db_drop(2, "pose_video_path")),
+        "$[0].embedding[1]: expected a number, got True",
+    ),
+    "missing field, then a later entry's bad value": (
+        _steps(_db_drop(0, "label"), _db_value(2, 0, None)),
+        "$[0]: missing field 'label'",
+    ),
+    "bad value, then an empty pose_video_path in the same entry": (
+        _steps(_db_value(1, 0, "x"), _db_set(1, "pose_video_path", "")),
+        "$[1].embedding[0]: expected a number, got 'x'",
+    ),
+    "empty label, then a bad value in the same entry": (
+        _steps(_db_set(1, "label", ""), _db_value(1, 0, None)),
+        "$[1].label: expected a non-empty string, got ''",
+    ),
+    "two bad values in one row": (
+        _steps(_db_value(1, 2, True), _db_value(1, 1, "1.5")),
+        "$[1].embedding[1]: expected a number, got '1.5'",
+    ),
+    "bad value, then a later entry's empty row": (
+        _steps(_db_value(0, 2, False), _db_set(1, "embedding", [])),
+        "$[0].embedding[2]: expected a number, got False",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", VALUE_FAULTS.keys())
+def test_db_manifest_names_a_bad_value(fault):
+    literal, reason = VALUE_FAULTS[fault]
+    doc = db_doc()
+    doc[1]["embedding"][2] = "NUM"
+    text = json.dumps(doc).replace(NUM, literal)
+    assert parse_error(parse_db_manifest, text) == f"$[1].embedding[2]: {reason}"
+
+
+def test_db_manifest_names_the_earlier_of_two_bad_values():
+    doc = db_doc()
+    doc[0]["embedding"][2] = "NUM"
+    doc[1]["embedding"][0] = "1.5"
+    text = json.dumps(doc).replace(NUM, "1e999")
+    assert parse_error(parse_db_manifest, text) == "$[0].embedding[2]: number must be finite"
+
+
+@pytest.mark.parametrize("fault", DB_FAULTS.keys())
+def test_db_manifest_names_the_first_fault_in_document_order(fault):
+    mutate, message = DB_FAULTS[fault]
+    doc = db_doc()
+    mutate(doc)
+    assert parse_error(parse_db_manifest, json.dumps(doc)) == message
+
+
+def test_db_manifest_rows_are_floats():
+    entries = parse_db_manifest(json.dumps(db_doc()))
+    rows = [list(e.embedding.values) for e in entries]
+    assert rows == [[0.5, 1.0, -2.0], [0.5, 1.0, -3.0], [0.5, 1.0, -4.0]]
+    assert {type(v) for row in rows for v in row} == {float}
+    # a row kept as parsed still equals, and hashes like, the same values built
+    built = EmbeddingVector(values=(0.5, 1, -2))
+    assert entries[0].embedding == built and hash(entries[0].embedding) == hash(built)
+    assert entries[1].embedding != built
+
+
+def test_db_manifest_row_of_the_wrong_length_is_refused_by_build_index():
+    doc = db_doc()
+    doc[2]["embedding"].append(1.0)
+    entries = parse_db_manifest(json.dumps(doc))
+    with pytest.raises(DatabaseError) as caught:
+        build_index(entries)
+    assert str(caught.value) == "entry 'e2' has embedding dim 4, expected 3"
+
+
+def metric_doc():
+    """One valid case with two-frame records; embeddings mix ints and floats."""
+    def emb():
+        return {"dim": 3, "values": [0.5, 1, -2.0]}
+
+    def record(video_id):
+        return {"video_id": video_id, "video_embedding": emb(),
+                "frame_embeddings": [emb(), emb()]}
+
+    return [{"case_id": "c0", "edited": record("e"), "source": record("s"),
+             "target_prompt_embedding": emb(), "source_prompt_embedding": emb()}]
+
+
+# where a faulty embedding node sits: (slot, keys inside the slot's node,
+# the node's path in error messages)
+PLACEMENTS = {
+    "prompt slot": ("target_prompt_embedding", (), "$[0].target_prompt_embedding"),
+    "frame of a record slot": (
+        "edited", ("frame_embeddings", 1), "$[0].edited.frame_embeddings[1]"
+    ),
+}
+
+
+def metric_text_with(node_fault, placement, sidecar):
+    """The manifest text and sidecar files with ``node_fault`` applied to the
+    embedding node at ``placement``, inline or behind ``{"path": ...}``."""
+    slot, inner, _ = PLACEMENTS[placement]
+    doc = metric_doc()
+    node = doc[0][slot]
+    for key in inner:
+        node = node[key]
+    node_fault(node)
+    files = {}
+    if sidecar:
+        files[f"{slot}.json"] = json.dumps(doc[0][slot])
+        doc[0][slot] = {"path": f"{slot}.json"}
+    return json.dumps(doc), files
+
+
+def _node_value(j, value):
+    return lambda node: node["values"].__setitem__(j, value)
+
+
+def _node_set(key, value):
+    return lambda node: node.__setitem__(key, value)
+
+
+# faults of one embedding node; each message follows the node's path
+NODE_FAULTS = {
+    "values not a list": (_node_set("values", 5), ".values: expected an array, got int"),
+    "empty row": (_node_set("values", []), ".values: length 0 does not match dim 3"),
+    "row of the wrong length": (_node_set("values", [0.5, 1]),
+                                ".values: length 2 does not match dim 3"),
+    "missing field": (lambda node: node.pop("dim"), ": missing field 'dim'"),
+    "two bad values in one row": (_steps(_node_value(2, None), _node_value(0, True)),
+                                  ".values[0]: expected a number, got True"),
+    "bad value in a row of the wrong length": (
+        _steps(_node_value(1, "1.5"), lambda node: node["values"].pop()),
+        ".values[1]: expected a number, got '1.5'",
+    ),
+    "bad dim before a bad value": (_steps(_node_set("dim", "3"), _node_value(0, None)),
+                                   ".dim: expected an integer >= 1, got '3'"),
+}
+
+
+def parse_metric_text(text, files, literal=None):
+    def read(ref):
+        return files[ref] if literal is None else files[ref].replace(NUM, literal)
+
+    if literal is not None:
+        text = text.replace(NUM, literal)
+    return parse_error(lambda t: parse_metric_cases(t, read), text)
+
+
+@pytest.mark.parametrize("sidecar", [False, True], ids=["inline", "sidecar"])
+@pytest.mark.parametrize("placement", PLACEMENTS.keys())
+@pytest.mark.parametrize("fault", VALUE_FAULTS.keys())
+def test_metric_manifest_names_a_bad_value(fault, placement, sidecar):
+    literal, reason = VALUE_FAULTS[fault]
+    text, files = metric_text_with(_node_value(2, "NUM"), placement, sidecar)
+    message = parse_metric_text(text, files, literal)
+    assert message == f"{PLACEMENTS[placement][2]}.values[2]: {reason}"
+
+
+@pytest.mark.parametrize("sidecar", [False, True], ids=["inline", "sidecar"])
+@pytest.mark.parametrize("placement", PLACEMENTS.keys())
+@pytest.mark.parametrize("fault", NODE_FAULTS.keys())
+def test_metric_manifest_names_the_first_fault_of_an_embedding(fault, placement, sidecar):
+    mutate, suffix = NODE_FAULTS[fault]
+    text, files = metric_text_with(mutate, placement, sidecar)
+    assert parse_metric_text(text, files) == PLACEMENTS[placement][2] + suffix
+
+
+@pytest.mark.parametrize("sidecar", [False, True], ids=["inline", "sidecar"])
+def test_metric_manifest_names_the_earlier_slot_first(sidecar):
+    # slots are read in order: edited, source, target and source prompts
+    text, files = metric_text_with(_node_value(2, "NUM"), "frame of a record slot", sidecar)
+    doc = json.loads(text)
+    doc[0]["target_prompt_embedding"]["values"][0] = None
+    doc.append(metric_doc()[0])  # a second case with a duplicate id
+    message = parse_metric_text(json.dumps(doc), files, "1e999")
+    assert message == "$[0].edited.frame_embeddings[1].values[2]: number must be finite"
+
+
+def test_metric_manifest_embeddings_are_float_tuples():
+    (case,) = parse_metric_cases(json.dumps(metric_doc()), None)
+    for embedding in (case.target_prompt_embedding, *case.edited.frame_embeddings):
+        assert embedding.values == (0.5, 1.0, -2.0)
+        assert {type(v) for v in embedding.values} == {float}
+
+
+mixed_numbers = st.integers(-40, 40) | st.floats(-40.0, 40.0, allow_subnormal=False)
+
+
+@given(
+    rows=st.lists(st.lists(mixed_numbers, min_size=3, max_size=3), min_size=1, max_size=10),
+    q=st.lists(st.floats(-40.0, 40.0, allow_subnormal=False), min_size=3, max_size=3),
+    k=st.integers(1, 10),
+)
+def test_manifest_mixing_ints_and_floats_ranks_like_the_oracle(rows, q, k):
+    assume(all(sum(v * v for v in row) > 0 for row in rows) and sum(v * v for v in q) > 0)
+    k = min(k, len(rows))
+    manifest = [
+        {"entry_id": f"e{i}", "label": "l", "embedding": row, "pose_video_path": "p"}
+        for i, row in enumerate(rows)
+    ]
+    got = query(build_index(parse_db_manifest(json.dumps(manifest))),
+                EmbeddingVector(values=q), k)
+    order, scores = ranking_by_sort(q, [[float(v) for v in row] for row in rows], k)
+    assert [eid for eid, _ in got] == [f"e{i}" for i in order]
+    assert [s for _, s in got] == [scores[i] for i in order]

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import sys
 
 import pytest
@@ -13,8 +14,8 @@ from posedit import (
     parse_pose_video,
     parse_pipeline_config,
 )
-from posedit import pose_model
-from posedit.errors import StageError
+from posedit import pipeline, pose_model
+from posedit.errors import ShapeError, StageError
 from posedit.pipeline import (
     run_align,
     run_blend_demo,
@@ -23,7 +24,7 @@ from posedit.pipeline import (
     run_metrics,
     run_retrieve,
 )
-from conftest import fixture_path, read_fixture
+from conftest import fixture_path, joints_reversed, read_fixture
 from oracles import metric_aggregates_from_doc
 
 
@@ -178,6 +179,14 @@ def test_run_align_requires_single_instance_first_frames(tmp_path):
         run_align(cfg, multi, fixture_path("align", "moving.json"))
 
 
+def test_run_align_refuses_clips_whose_skeletons_differ(tmp_path):
+    moving = tmp_path / "moving.json"
+    moving.write_text(joints_reversed(read_fixture("align", "moving.json")), encoding="utf-8")
+    cfg = PipelineConfig(out_dir=str(tmp_path / "out"))
+    with pytest.raises(ShapeError, match=r"^moving video skeleton \["):
+        run_align(cfg, fixture_path("align", "fixed.json"), str(moving))
+
+
 def test_run_align_requires_out_dir():
     with pytest.raises(StageError, match="--out-dir"):
         run_align(
@@ -272,6 +281,28 @@ def test_run_edit_builds_no_pose_frame(tmp_path, monkeypatch):
     run_edit(bundle_config("e2e_duo_wave", tmp_path))
     assert read_out(tmp_path, "edited.json") == read_fixture("e2e_duo_wave", "golden", "edited.json")
     assert reads == []
+
+
+def test_run_edit_parses_each_distinct_clip_once(tmp_path, monkeypatch):
+    # three entries spell one clip file three ways
+    db_dir = tmp_path / "db"
+    shutil.copytree(fixture_path("e2e_duo_wave", "db"), db_dir)
+    entries = json.loads((db_dir / "manifest.json").read_text(encoding="utf-8"))
+    spellings = ["clips/wave_01.json", "./clips/wave_01.json", str(db_dir / "clips/wave_01.json")]
+    for entry, path in zip(entries, spellings):
+        entry["pose_video_path"] = path
+    (db_dir / "manifest.json").write_text(json.dumps(entries), encoding="utf-8")
+    parsed = []
+    parse = pipeline.parse_pose_video
+    monkeypatch.setattr(pipeline, "parse_pose_video", lambda text: parsed.append(text) or parse(text))
+
+    out_dir = tmp_path / "out"
+    result = run_edit(
+        bundle_config("e2e_duo_wave", out_dir, db=str(db_dir / "manifest.json"), top_k=3)
+    )
+    assert len(parsed) == 2  # the source and the one clip
+    golden = read_fixture("e2e_duo_wave", "golden", "edited.json")
+    assert [read_out(out_dir, r["output"]) for r in result["retrieved"]] == [golden] * 3
 
 
 def test_run_edit_lists_outputs_in_manifest(tmp_path):
