@@ -5,9 +5,10 @@ checks below.  A check returns the validated value or raises
 :class:`ParseError` naming the node.  The node is named by ``path`` plus
 optional trailing ``keys`` (field names or array indices), and that name is
 built only when a check fails, so the per-field and per-number checks of a
-large document format no strings.  Field names under the document root are
-bare (``width``, not ``$.width``); elements are indexed (``frames[0]``,
-``$[3]``).
+large document format no strings; a ``path`` may itself be such pieces,
+``(path, *keys)``, for a parser to hand down to nested checks.  Field names
+under the document root are bare (``width``, not ``$.width``); elements are
+indexed (``frames[0]``, ``$[3]``).
 """
 
 from __future__ import annotations
@@ -34,8 +35,11 @@ def load_json(text: str):
         raise ParseError(f"invalid JSON: {exc}") from exc
 
 
-def name(path: str, *keys) -> str:
-    """``path`` extended by field names (``.key``) and indices (``[i]``)."""
+def name(path, *keys) -> str:
+    """``path`` extended by field names (``.key``) and indices (``[i]``).  A
+    tuple ``path`` holds a path and keys not joined yet."""
+    if isinstance(path, tuple):
+        path, keys = path[0], path[1:] + keys
     for key in keys:
         if isinstance(key, int):
             path = f"{path}[{key}]"

@@ -35,8 +35,10 @@ def _load_config_file(path: str) -> dict:
     values = parse_pipeline_config(text)
     base = os.path.dirname(os.path.abspath(path))
     for key in PATH_FIELDS:
-        if key in values and not os.path.isabs(values[key]):
-            values[key] = os.path.join(base, values[key])
+        value = values.get(key)
+        # "" and non-strings go on unresolved, for PipelineConfig to refuse
+        if isinstance(value, str) and value and not os.path.isabs(value):
+            values[key] = os.path.join(base, value)
     return values
 
 

@@ -48,54 +48,66 @@ class PipelineConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "tokens", tuple(self.tokens))
-        if self.frame_count < 1:
-            raise ValueError(f"frame_count must be >= 1, got {self.frame_count}")
-        if not 0.0 < self.iou_threshold < 1.0:
-            raise ValueError(f"iou_threshold must be in (0, 1), got {self.iou_threshold}")
-        if not 0.0 < self.blend_ratio < 1.0:
-            raise ValueError(f"blend_ratio must be in (0, 1), got {self.blend_ratio}")
-        if self.top_k < 1:
-            raise ValueError(f"top_k must be >= 1, got {self.top_k}")
-        if not self.tokens or any(t < 0 for t in self.tokens):
-            raise ValueError("tokens must be a non-empty list of non-negative indices")
-        if self.ddim_steps < 1:
-            raise ValueError(f"ddim_steps must be >= 1, got {self.ddim_steps}")
-        if not 0.0 < self.beta_start <= self.beta_end < 1.0:
-            raise ValueError(
-                f"betas must satisfy 0 < beta_start <= beta_end < 1, "
+        """Check each field in declaration order, then the beta order, and
+        store the checked values; ParseError names the first bad field."""
+        for f in fields(self):
+            value = _RULES.get(f.name, _path)(getattr(self, f.name), f.name)
+            object.__setattr__(self, f.name, value)
+        if self.beta_start > self.beta_end:
+            raise ParseError(
+                f"beta_start, beta_end: must satisfy beta_start <= beta_end, "
                 f"got ({self.beta_start}, {self.beta_end})"
             )
-        if self.latent_dim < 1:
-            raise ValueError(f"latent_dim must be >= 1, got {self.latent_dim}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        try:
-            if self.embedder_command is not None and not shlex.split(self.embedder_command):
-                raise ValueError("names no program")
-        except ValueError as exc:  # e.g. shlex's "No closing quotation"
-            raise ValueError(f"embedder_command: {exc}") from None
 
+
+def _at_least(minimum):
+    return lambda value, key: integer(value, "$", key, minimum=minimum)
+
+
+def _open_unit(value, key) -> float:
+    value = real(value, "$", key)
+    if not 0.0 < value < 1.0:
+        raise ParseError(f"{key}: must be in (0, 1), got {value}")
+    return value
+
+
+def _tokens(value, key) -> tuple[int, ...]:
+    items = array(list(value) if isinstance(value, tuple) else value, "$", key, nonempty=True)
+    return tuple(integer(t, "$", key, i, minimum=0) for i, t in enumerate(items))
+
+
+def _path(value, key) -> str | None:
+    return None if value is None else string(value, "$", key, nonempty=True)
+
+
+def _command(value, key) -> str | None:
+    value = _path(value, key)  # argv text, not a path, but the same rule
+    try:
+        if value is not None and not shlex.split(value):
+            raise ValueError("names no program")
+    except ValueError as exc:  # e.g. shlex's "No closing quotation"
+        raise ParseError(f"{key}: {exc}") from None
+    return value
+
+
+# the rule of each field; every other field is a filesystem path
+_RULES = {
+    **dict.fromkeys(("frame_count", "top_k", "ddim_steps", "latent_dim"), _at_least(1)),
+    **dict.fromkeys(("iou_threshold", "blend_ratio", "beta_start", "beta_end"), _open_unit),
+    "tokens": _tokens,
+    "union_initial_mask": lambda value, key: boolean(value, "$", key),
+    "seed": _at_least(0),
+    "embedder_command": _command,
+}
 
 CONFIG_FIELDS = frozenset(f.name for f in fields(PipelineConfig))
-
-# config fields whose values are filesystem paths
-PATH_FIELDS = frozenset(
-    {
-        "source",
-        "detections",
-        "answer",
-        "db",
-        "query_embedding",
-        "stack",
-        "manifest",
-        "out_dir",
-    }
-)
+PATH_FIELDS = CONFIG_FIELDS - _RULES.keys()
 
 
 def parse_pipeline_config(text: str) -> dict:
-    """Parse a config file into a dict of validated field values.
+    """Decode a config file into a dict of its field values, as written;
+    :class:`PipelineConfig` checks them, as it checks flags and library
+    callers' values.
 
     Unknown keys are rejected outright: silently ignoring a typo like
     ``frame_cont`` would change the run without a trace.
@@ -103,34 +115,17 @@ def parse_pipeline_config(text: str) -> dict:
     doc = load_json(text)
     if not isinstance(doc, dict):
         raise ParseError(f"$: expected an object, got {type(doc).__name__}")
-    out = {}
-    for key, value in doc.items():
+    for key in doc:
         if key not in CONFIG_FIELDS:
             raise ParseError(f"$: unknown config field {key!r}")
-        if key in PATH_FIELDS or key == "embedder_command":  # argv text, not a path
-            out[key] = string(value, "$", key, nonempty=True)
-        elif key == "tokens":
-            array(value, "$", key, nonempty=True)
-            out[key] = tuple(integer(t, key, i, minimum=0) for i, t in enumerate(value))
-        elif key == "union_initial_mask":
-            out[key] = boolean(value, "$", key)
-        elif key == "seed":
-            out[key] = integer(value, "$", key, minimum=0)
-        elif key in {"frame_count", "top_k", "ddim_steps", "latent_dim"}:
-            out[key] = integer(value, "$", key)
-        else:  # real-valued knob
-            out[key] = real(value, "$", key)
-    return out
+    return doc
 
 
 def make_config(file_values: dict | None = None, overrides: dict | None = None) -> PipelineConfig:
     """Merge config-file values with flag overrides (overrides win)."""
-    merged = {}
-    if file_values:
-        merged.update(file_values)
-    if overrides:
-        merged.update({k: v for k, v in overrides.items() if v is not None})
+    merged = dict(file_values or {})
+    merged.update({k: v for k, v in (overrides or {}).items() if v is not None})
     try:
         return PipelineConfig(**merged)
-    except (ValueError, TypeError) as exc:
+    except (ParseError, TypeError) as exc:  # TypeError: an unknown field
         raise ParseError(f"invalid configuration: {exc}") from exc

@@ -120,16 +120,20 @@ def _check_eps(eps, dim: int) -> np.ndarray:
     return arr
 
 
+def _move(values, eps, a_from, a_to):
+    """The DDIM update from the level with cumulative alpha ``a_from`` to the
+    one with ``a_to``: estimate the clean latent, then re-noise it."""
+    scaled = (values - math.sqrt(1.0 - a_from) * eps) / math.sqrt(a_from)
+    return math.sqrt(a_to) * scaled + math.sqrt(1.0 - a_to) * eps
+
+
 def ddim_denoise_step(z_t: LatentState, eps, sched: DdimSchedule) -> LatentState:
     """One deterministic denoising step t -> t-1 for the given noise estimate."""
     t = z_t.t
     if not 1 <= t <= sched.steps:
         raise ValueError(f"step index {t} outside [1, {sched.steps}]")
     eps = _check_eps(eps, z_t.dim)
-    a_t = sched.alphas[t]
-    a_prev = sched.alphas[t - 1]
-    scaled = (z_t.values - math.sqrt(1.0 - a_t) * eps) / math.sqrt(a_t)
-    values = math.sqrt(a_prev) * scaled + math.sqrt(1.0 - a_prev) * eps
+    values = _move(z_t.values, eps, sched.alphas[t], sched.alphas[t - 1])
     return LatentState(values=values, t=t - 1)
 
 
@@ -139,10 +143,7 @@ def ddim_invert_step(z_prev: LatentState, eps, sched: DdimSchedule) -> LatentSta
     if not 0 <= t_prev <= sched.steps - 1:
         raise ValueError(f"step index {t_prev} outside [0, {sched.steps - 1}]")
     eps = _check_eps(eps, z_prev.dim)
-    a_t = sched.alphas[t_prev + 1]
-    a_prev = sched.alphas[t_prev]
-    scaled = (z_prev.values - math.sqrt(1.0 - a_prev) * eps) / math.sqrt(a_prev)
-    values = math.sqrt(a_t) * scaled + math.sqrt(1.0 - a_t) * eps
+    values = _move(z_prev.values, eps, sched.alphas[t_prev], sched.alphas[t_prev + 1])
     return LatentState(values=values, t=t_prev + 1)
 
 

@@ -72,10 +72,6 @@ class Assignment:
         if len(set(det_indices)) != len(det_indices) or len(set(inst_ids)) != len(inst_ids):
             raise ValueError("a detection or instance appears in more than one pair")
 
-    @property
-    def matched_instance_ids(self) -> frozenset[int]:
-        return frozenset(i for _, i in self.pairs)
-
 
 def iou(a: BoundingBox, b: BoundingBox) -> float:
     """Intersection area over union area; 0 whenever the union is degenerate."""
@@ -96,17 +92,21 @@ def assign_detections(
 
     Repeatedly takes the globally best (detection, instance) pair with
     IoU >= threshold and removes both from play; equal IoU values resolve by
-    the smaller (detection index, instance_id).  Instances without a visible
-    keypoint cannot produce a box and make the frame unusable (error from
-    :func:`keypoint_bbox` propagates).
+    the smaller (detection index, instance_id).  A person without a visible
+    keypoint has no box, so no detection can match them: they end up among
+    the unmatched instances.
     """
     if not len(video.frame_index):
         raise ValueError("video has no frames")
     ids = video.instance_id[: video.offsets[1]].tolist()
-    boxes = [keypoint_bbox(video, row) for row in range(len(ids))]
+    boxed = [
+        (inst_id, keypoint_bbox(video, row))
+        for row, inst_id in enumerate(ids)
+        if video.visible[row].any()
+    ]
     candidates = []
     for d_idx, det in enumerate(dset.detections):
-        for inst_id, inst_box in zip(ids, boxes):
+        for inst_id, inst_box in boxed:
             value = iou(det.box, inst_box)
             if value >= threshold:
                 candidates.append((value, d_idx, inst_id))
@@ -228,22 +228,20 @@ def edit_pose_video(
     source: PoseVideo,
     assignment: Assignment,
     retrieved: PoseVideo,
-    transforms: dict[int, SimilarityTransform2D] | None = None,
+    transforms: dict[int, SimilarityTransform2D],
 ) -> PoseVideo:
     """Replace each matched instance with the aligned retrieved clip.
 
-    Alignment is solved once per matched instance on first frames and applied
-    to every retrieved frame; the retrieved clip is resampled to the source
-    frame count by nearest index before substitution.  Instances outside the
-    assignment keep their keypoints untouched, and the output always has the
-    source's frame count and frame indices.  ``transforms``, when given, is
-    what :func:`alignment_transforms` returns for the same arguments, so a
-    caller that needs the transforms too solves them only once.
+    ``transforms`` is what :func:`alignment_transforms` returns for the same
+    arguments: one alignment per matched instance, solved on first frames.
+    Each is applied to every retrieved frame, and the retrieved clip is
+    resampled to the source frame count by nearest index before
+    substitution.  Instances outside the assignment keep their keypoints
+    untouched, and the output always has the source's frame count and frame
+    indices.
     """
     if not assignment.pairs:
         return source
-    if transforms is None:
-        transforms = alignment_transforms(source, assignment, retrieved)
     _donor_or_raise(source, retrieved)  # so row k of a donor is its frame k
 
     frame_count = len(source.frame_index)

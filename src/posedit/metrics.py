@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._schema import array, load_json, obj, string
+from ._schema import array, load_json, name, obj, string
 from .errors import ParseError, ShapeError
 from .retrieval import EmbeddingVector, cosine, embedding_from_node
 
@@ -116,24 +116,24 @@ def gt_con(edited: VideoEmbeddingRecord, ground_truth: VideoEmbeddingRecord | No
 def _slot(case, path, key, read_file, parse):
     """``parse`` the node in slot ``key`` of a case: given inline, or read
     from the file named by ``{"path": "..."}``."""
-    where = f"{path}.{key}"
     node = case[key]
     if isinstance(node, dict) and set(node) == {"path"}:
-        ref = string(node["path"], where, "path", nonempty=True)
+        ref = string(node["path"], path, key, "path", nonempty=True)
         try:
             node = load_json(read_file(ref))
         except ParseError as exc:
-            raise ParseError(f"{where}.path: {ref!r}: {exc}") from exc
-    return parse(node, where)
+            raise ParseError(f"{name(path, key, 'path')}: {ref!r}: {exc}") from exc
+    return parse(node, (path, key))
 
 
-def _record_from_node(node, path) -> VideoEmbeddingRecord:
-    obj(node, path, required=("video_id", "video_embedding", "frame_embeddings"))
-    video_id = string(node["video_id"], path, "video_id", nonempty=True)
-    video_embedding = embedding_from_node(node["video_embedding"], f"{path}.video_embedding")
-    frames_node = array(node["frame_embeddings"], path, "frame_embeddings", nonempty=True)
+def _record_from_node(node, where: tuple) -> VideoEmbeddingRecord:
+    """A video record at ``where``, the pieces of its path."""
+    obj(node, where, required=("video_id", "video_embedding", "frame_embeddings"))
+    video_id = string(node["video_id"], where, "video_id", nonempty=True)
+    video_embedding = embedding_from_node(node["video_embedding"], (*where, "video_embedding"))
+    frames_node = array(node["frame_embeddings"], where, "frame_embeddings", nonempty=True)
     frames = tuple(
-        embedding_from_node(fn, f"{path}.frame_embeddings[{i}]")
+        embedding_from_node(fn, (*where, "frame_embeddings", i))
         for i, fn in enumerate(frames_node)
     )
     try:
@@ -141,7 +141,7 @@ def _record_from_node(node, path) -> VideoEmbeddingRecord:
             video_id=video_id, video_embedding=video_embedding, frame_embeddings=frames
         )
     except ShapeError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+        raise ParseError(f"{name(where)}: {exc}") from exc
 
 
 def parse_metric_cases(text: str, read_file) -> list[MetricCase]:

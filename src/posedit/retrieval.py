@@ -60,16 +60,16 @@ class EmbeddingVector:
         return embedding
 
     def __post_init__(self):
-        values = tuple(map(float, self.values))
-        object.__setattr__(self, "values", values)
+        """The parsers' number rule: every component an int or float, finite,
+        and stored as a float."""
+        values = list(self.values)
         if not values:
             raise ShapeError("embedding must have at least one component")
-        # a non-finite item makes the sum non-finite; only then, or when
-        # finite items overflow the sum, walk the items to name the bad one
-        if not math.isfinite(sum(values)):
-            for i, v in enumerate(values):
-                if not math.isfinite(v):
-                    raise ValueError(f"embedding component {i} is not finite")
+        try:
+            values = reals(values, "values")
+        except ParseError as exc:
+            raise ValueError(str(exc)) from None
+        object.__setattr__(self, "values", tuple(values))
 
     @property
     def dim(self) -> int:
@@ -254,8 +254,9 @@ def _candidates(db: PoseDatabase, q: EmbeddingVector, nq: float, k: int):
 # --- manifest parsing ----------------------------------------------------------
 
 
-def embedding_from_node(node, path: str = "$") -> EmbeddingVector:
-    """Validate an already-parsed ``{"dim": D, "values": [reals]}`` node."""
+def embedding_from_node(node, path="$") -> EmbeddingVector:
+    """Validate an already-parsed ``{"dim": D, "values": [reals]}`` node;
+    ``path`` names it as in the ``_schema`` checks."""
     obj(node, path, required=("dim", "values"))
     dim = integer(node["dim"], path, "dim", minimum=1)
     values = reals(node["values"], path, "values")

@@ -389,6 +389,31 @@ def test_malformed_embedder_command_exits_2(tmp_path, capsys):
     assert not os.path.exists(tmp_path / "out")
 
 
+def test_edit_leaves_a_bystander_without_visible_keypoints_unmatched(tmp_path, capsys):
+    bundle = copy_bundle(tmp_path, "e2e_duo_wave")
+    source = bundle / "source.json"
+    doc = json.loads(source.read_text(encoding="utf-8"))
+    for frame in doc["frames"]:
+        hidden = [{**kp, "visible": False} for kp in frame["instances"][0]["keypoints"]]
+        frame["instances"].append({"instance_id": 99, "keypoints": hidden})
+    source.write_text(json.dumps(doc), encoding="utf-8")
+    outs = {}
+    for name, config in (("plain", fixture_path("e2e_duo_wave", "config.json")),
+                         ("bystander", str(bundle / "config.json"))):
+        outs[name] = tmp_path / name
+        code, out, err = run_cli(capsys, "edit", "--config", config, "--out-dir", str(outs[name]))
+        assert code == 0, err
+    report = load_out(outs["bystander"], "report.json")
+    assert report["assignment"]["unmatched_instances"] == [99]
+    assert len(report["assignment"]["pairs"]) == 2
+    plain = load_out(outs["plain"], "edited.json")["frames"]
+    edited = load_out(outs["bystander"], "edited.json")["frames"]
+    assert len(edited) == len(plain) == len(doc["frames"])
+    for got, want, src in zip(edited, plain, doc["frames"]):
+        assert got["instances"][:-1] == want["instances"]
+        assert got["instances"][-1] == src["instances"][-1]  # passed through
+
+
 def test_edit_refuses_a_clip_whose_skeleton_differs_from_the_source(tmp_path, capsys):
     bundle = copy_bundle(tmp_path, "e2e_girl_dance")
     clip = bundle / "db" / "clips" / "dance_01.json"
@@ -415,6 +440,25 @@ def test_unknown_config_field_exits_2(tmp_path, capsys):
     )
     assert code == 2
     assert "unknown config field" in err
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"stack": ""}, "invalid configuration: stack: expected a non-empty string, got ''"),
+        ({"db": 5}, "invalid configuration: db: expected a non-empty string, got 5"),
+        ({"top_k": 2.5, "seed": "x"}, "invalid configuration: top_k: expected an integer >= 1"),
+    ],
+)
+def test_bad_config_file_values_exit_2_like_bad_flags(tmp_path, capsys, config, message):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, "ddim-demo", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")
+    )
+    assert code == 2
+    assert err.startswith(f"error: {message}")
+    assert not os.path.exists(tmp_path / "out")
 
 
 # --- blend-demo -------------------------------------------------------------------

@@ -131,10 +131,17 @@ def test_assignment_tie_prefers_lower_detection_then_instance():
 
 
 def test_assignment_requires_visible_keypoints():
-    hidden = (0, [(1.0, 1.0, False)])
-    dset = DetectionSet(frame_index=0, detections=(det("x", box(0, 0, 2, 2)),))
-    with pytest.raises(GeometryError):
-        assign_detections(dset, frame_with(hidden, joints=1), 0.3)
+    # a person with no visible keypoint has no box, so no detection matches
+    # them, even one over their hidden keypoints; the others still match
+    hidden = (0, [(0.0, 0.0, False), (2.0, 2.0, False)])
+    shown = (3, [(0.0, 0.0, True), (2.0, 2.0, True)])
+    dset = DetectionSet(
+        frame_index=0, detections=(det("x", box(0, 0, 2, 2)), det("y", box(0, 0, 2, 2)))
+    )
+    got = assign_detections(dset, frame_with(hidden, shown), 0.3)
+    assert got.pairs == ((0, 3),)
+    assert got.unmatched_detections == (1,)
+    assert got.unmatched_instances == (0,)
 
 
 def test_assignment_needs_a_first_frame():
@@ -231,7 +238,7 @@ def test_resample_video_rejects_empty_request():
 def test_edit_with_no_pairs_returns_source_unchanged():
     video = two_frame_video()
     empty = Assignment(pairs=(), unmatched_detections=(0,), unmatched_instances=(0,))
-    assert edit_pose_video(video, empty, two_frame_video()) is video
+    assert edit_pose_video(video, empty, two_frame_video(), {}) is video
 
 
 def test_edit_replaces_only_matched_instances():
@@ -242,7 +249,9 @@ def test_edit_replaces_only_matched_instances():
     assignment = Assignment(
         pairs=((0, 0),), unmatched_detections=(), unmatched_instances=(1,)
     )
-    out = edit_pose_video(source, assignment, retrieved)
+    out = edit_pose_video(
+        source, assignment, retrieved, alignment_transforms(source, assignment, retrieved)
+    )
     assert len(out.frames) == len(source.frames)
     for got_frame, src_frame in zip(out.frames, source.frames):
         bystander_out = got_frame.instances[1]
@@ -262,7 +271,9 @@ def test_edit_requires_single_instance_retrieved_clip():
     )
     multi = parse_pose_video(read_fixture("pose_corpus", "multi.json"))
     with pytest.raises(ShapeError):
-        edit_pose_video(source, assignment, multi)
+        edit_pose_video(
+            source, assignment, multi, alignment_transforms(source, assignment, multi)
+        )
 
 
 def test_edit_refuses_a_clip_whose_skeleton_differs_from_the_source():
@@ -297,7 +308,9 @@ def test_edit_rejects_unknown_instance_id():
     )
     retrieved = two_frame_video()
     with pytest.raises(ValueError, match="instance_id 7"):
-        edit_pose_video(source, assignment, retrieved)
+        edit_pose_video(
+            source, assignment, retrieved, alignment_transforms(source, assignment, retrieved)
+        )
 
 
 # --- detection documents --------------------------------------------------------------
@@ -462,14 +475,12 @@ def test_edit_matches_the_per_keypoint_reference(source, data):
         edit_pose_video(source, assignment, retrieved, transforms),
         edit_per_keypoint(source, transforms, retrieved),
     )
-    # and with the transforms solved inside
+    # and with the transforms alignment_transforms solves
     try:
         solved = alignment_transforms(source, assignment, retrieved)
     except GeometryError:
-        with pytest.raises(GeometryError):
-            edit_pose_video(source, assignment, retrieved)
-    else:
-        assert_same_bits(
-            edit_pose_video(source, assignment, retrieved),
-            edit_per_keypoint(source, solved, retrieved),
-        )
+        return  # a degenerate first frame has no alignment to apply
+    assert_same_bits(
+        edit_pose_video(source, assignment, retrieved, solved),
+        edit_per_keypoint(source, solved, retrieved),
+    )

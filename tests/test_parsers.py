@@ -14,6 +14,7 @@ from posedit import (
     PoseditError,
     StageError,
     build_index,
+    make_config,
     parse_attention_stack,
     parse_db_manifest,
     parse_detections,
@@ -23,6 +24,7 @@ from posedit import (
     parse_pose_video,
     query,
 )
+from posedit._schema import reals
 from conftest import fixture_path, read_fixture
 from oracles import ranking_by_sort
 
@@ -38,7 +40,7 @@ def read_sidecar(ref):
 
 PARSERS = {
     "pose_video": parse_pose_video,
-    "pipeline_config": parse_pipeline_config,
+    "pipeline_config": lambda text: make_config(parse_pipeline_config(text)),
     "embedding": parse_embedding,
     "db_manifest": parse_db_manifest,
     "metric_cases": lambda text: parse_metric_cases(text, read_sidecar),
@@ -385,6 +387,26 @@ def test_db_manifest_rows_are_floats():
     built = EmbeddingVector(values=(0.5, 1, -2))
     assert entries[0].embedding == built and hash(entries[0].embedding) == hash(built)
     assert entries[1].embedding != built
+
+
+def test_embedding_constructor_refuses_what_the_parsers_refuse():
+    with pytest.raises(ValueError, match=r"^values\[0\]: expected a number, got '1.5'$"):
+        EmbeddingVector(values=["1.5", True, " 2 "])
+    with pytest.raises(ValueError, match=r"^values\[1\]: expected a number, got True$"):
+        EmbeddingVector(values=(0.5, True))
+
+
+@given(st.lists(json_leaves, min_size=1, max_size=6))
+def test_embedding_constructor_accepts_exactly_what_reals_accepts(items):
+    try:
+        expected = reals(list(items), "values")
+    except ParseError:
+        with pytest.raises(ValueError):
+            EmbeddingVector(values=items)
+    else:
+        built = EmbeddingVector(values=items)
+        assert built.values == tuple(expected)
+        assert {type(v) for v in built.values} == {float}
 
 
 def test_db_manifest_row_of_the_wrong_length_is_refused_by_build_index():

@@ -4,6 +4,7 @@ import shutil
 import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
 from posedit import (
     AnswerRecord,
@@ -15,6 +16,7 @@ from posedit import (
     parse_pipeline_config,
 )
 from posedit import pipeline, pose_model
+from posedit.config import CONFIG_FIELDS
 from posedit.errors import ShapeError, StageError
 from posedit.pipeline import (
     run_align,
@@ -76,10 +78,10 @@ def test_parse_pipeline_config_returns_validated_values():
     values = parse_pipeline_config(
         '{"frame_count": 24, "iou_threshold": 0.4, "tokens": [0, 2], "seed": 9}'
     )
-    assert values == {
+    assert values == {  # as written: PipelineConfig checks and converts them
         "frame_count": 24,
         "iou_threshold": 0.4,
-        "tokens": (0, 2),
+        "tokens": [0, 2],
         "seed": 9,
     }
     cfg = make_config(values)
@@ -106,7 +108,7 @@ def test_parse_pipeline_config_returns_validated_values():
 )
 def test_parse_pipeline_config_rejects_bad_documents(doc, message):
     with pytest.raises(ParseError, match=message):
-        parse_pipeline_config(doc)
+        make_config(parse_pipeline_config(doc))
 
 
 def test_make_config_flag_overrides_win():
@@ -148,6 +150,59 @@ def test_make_config_rejects_an_embedder_command_that_splits_into_no_argv(comman
     file_values = parse_pipeline_config(json.dumps({"embedder_command": command}))
     with pytest.raises(ParseError, match=expected):
         make_config(file_values)
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ({"top_k": 2.5}, "top_k: expected an integer >= 1, got 2.5"),
+        ({"tokens": (0.5,)}, r"tokens\[0\]: expected an integer >= 0, got 0.5"),
+        ({"frame_count": True}, "frame_count: expected an integer >= 1, got True"),
+        ({"seed": 1.5}, "seed: expected an integer >= 0, got 1.5"),
+        ({"union_initial_mask": 0}, "union_initial_mask: expected a boolean, got 0"),
+        ({"source": ""}, "source: expected a non-empty string, got ''"),
+        ({"out_dir": 5}, "out_dir: expected a non-empty string, got 5"),
+    ],
+)
+def test_library_values_meet_the_config_file_rule(values, message):
+    with pytest.raises(ParseError, match=f"^invalid configuration: {message}$"):
+        make_config(values)
+    with pytest.raises(ParseError, match=f"^{message}$"):
+        PipelineConfig(**values)
+
+
+def test_config_reports_the_first_bad_field_in_field_order():
+    doc = json.dumps({"seed": -1, "top_k": 0, "beta_start": 0.5, "beta_end": 0.1})
+    with pytest.raises(ParseError, match="^invalid configuration: top_k: "):
+        make_config(parse_pipeline_config(doc))
+    with pytest.raises(ParseError, match="^invalid configuration: beta_start, beta_end: "):
+        make_config({"beta_start": 0.5, "beta_end": 0.1})
+
+
+config_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 60)
+    | st.integers(min_value=10**308, max_value=10**400)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.floats(0.0, 1.0)
+    | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=3),
+    max_leaves=6,
+)
+
+
+@given(key=st.sampled_from(sorted(CONFIG_FIELDS)), value=config_values)
+def test_a_config_file_and_a_library_caller_meet_one_rule(key, value):
+    def outcome(values):
+        try:
+            return make_config(values)
+        except ParseError as exc:
+            assert key in str(exc).split(": ")[1]  # the field is named first
+            return str(exc)
+
+    from_file = outcome(parse_pipeline_config(json.dumps({key: value})))
+    assert from_file == outcome({key: value})
 
 
 # --- align stage ----------------------------------------------------------------------
