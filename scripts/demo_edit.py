@@ -64,6 +64,9 @@ def main() -> int:
             print(f"  {row['entry_id']} -> instance {inst_id}: "
                   f"scale={tr['scale']:.6f} theta={tr['theta']:.6f} "
                   f"t=({tr['translation'][0]:.6f}, {tr['translation'][1]:.6f})")
+        for item in row.get("unaligned", ()):
+            print(f"  {row['entry_id']} -> instance {item['instance_id']}: "
+                  f"left untouched, {item['reason']}")
 
     print(f"\nwrote {args.out_dir}/: " + ", ".join(
         row["output"] for row in report["retrieved"]) + ", report.json, manifest.json")

@@ -157,7 +157,8 @@ def reals(node, path, *keys, nonempty=False, nonneg=False) -> list[float]:
     array of floats is returned as parsed; only when that check fails is each
     element checked in turn, to name the first bad index.
     """
-    array(node, path, *keys, nonempty=nonempty)
+    if type(node) is not list or (nonempty and not node):  # cheaper than the call
+        array(node, path, *keys, nonempty=nonempty)
     values = finite_floats(node)
     if values is not None and not (nonneg and values and min(values) < 0.0):
         return values

@@ -33,6 +33,18 @@ class SpatialMap:
     w: int
     values: np.ndarray
 
+    @classmethod
+    def _view(cls, values: np.ndarray) -> SpatialMap:
+        """A map over ``values``, a 2-D float64 array its maker has already
+        checked, or built, finite and non-negative: the public constructor
+        would check it a second time."""
+        m = cls.__new__(cls)
+        values.setflags(write=False)
+        object.__setattr__(m, "h", values.shape[0])
+        object.__setattr__(m, "w", values.shape[1])
+        object.__setattr__(m, "values", values)
+        return m
+
     def __post_init__(self):
         if self.h < 1 or self.w < 1:
             raise ShapeError("map dimensions must be positive")
@@ -55,6 +67,17 @@ class Mask:
     w: int
     bits: np.ndarray
 
+    @classmethod
+    def _view(cls, bits: np.ndarray) -> Mask:
+        """A mask over ``bits``, a 2-D uint8 array of 0s and 1s by
+        construction: the public constructor would check it a second time."""
+        m = cls.__new__(cls)
+        bits.setflags(write=False)
+        object.__setattr__(m, "h", bits.shape[0])
+        object.__setattr__(m, "w", bits.shape[1])
+        object.__setattr__(m, "bits", bits)
+        return m
+
     def __post_init__(self):
         if self.h < 1 or self.w < 1:
             raise ShapeError("mask dimensions must be positive")
@@ -72,6 +95,13 @@ class CrossAttentionMap:
     """One spatial map per prompt token, all sharing (h, w)."""
 
     maps: tuple[SpatialMap, ...]
+
+    @classmethod
+    def _view(cls, maps: tuple[SpatialMap, ...]) -> CrossAttentionMap:
+        """Token maps that share one grid by construction, unchecked."""
+        c = cls.__new__(cls)
+        object.__setattr__(c, "maps", maps)
+        return c
 
     def __post_init__(self):
         object.__setattr__(self, "maps", tuple(self.maps))
@@ -171,25 +201,31 @@ class SyntheticAttentionPredictor:
     def __call__(self, z, t, tau):
         return self._base(z, t, tau)
 
-    def _map(self, z, scale: float) -> SpatialMap:
+    def attention_record(self, z, t, tau) -> BlendStepRecord:
         flat = np.abs(np.asarray(z, dtype=np.float64))
         reps = -(-(_GRID_H * _GRID_W) // flat.size)
-        tiled = np.tile(flat, reps)[: _GRID_H * _GRID_W]
-        return SpatialMap(_GRID_H, _GRID_W, scale * tiled.reshape(_GRID_H, _GRID_W))
-
-    def attention_record(self, z, t, tau) -> BlendStepRecord:
+        grid = np.tile(flat, reps)[: _GRID_H * _GRID_W].reshape(_GRID_H, _GRID_W)
+        tokens = range(self._tokens)
+        # inversion cross, inversion self, denoising cross, denoising self
+        scales = np.array(
+            [1.0 + 0.25 * k for k in tokens]
+            + [2.0]
+            + [0.5 + 0.25 * k + 0.01 * t for k in tokens]
+            + [3.0 + 0.01 * t]
+        )
+        values = scales[:, None, None] * grid
+        # |z| and the scales are non-negative for every step >= 1, the only
+        # steps BlendStepRecord accepts; only an overflow can spoil a map
+        if not np.isfinite(values).all():
+            raise ValueError("map values must be finite")
+        maps = [SpatialMap._view(v) for v in values]
+        n = self._tokens
         return BlendStepRecord(
             step=t,
-            inversion_cross=CrossAttentionMap(
-                maps=tuple(self._map(z, 1.0 + 0.25 * k) for k in range(self._tokens))
-            ),
-            inversion_self=self._map(z, 2.0),
-            denoise_cross=CrossAttentionMap(
-                maps=tuple(
-                    self._map(z, 0.5 + 0.25 * k + 0.01 * t) for k in range(self._tokens)
-                )
-            ),
-            denoise_self=self._map(z, 3.0 + 0.01 * t),
+            inversion_cross=CrossAttentionMap._view(tuple(maps[:n])),
+            inversion_self=maps[n],
+            denoise_cross=CrossAttentionMap._view(tuple(maps[n + 1 : 2 * n + 1])),
+            denoise_self=maps[2 * n + 1],
         )
 
 
@@ -215,7 +251,7 @@ def threshold_mask(c: CrossAttentionMap, token_set, ratio: float) -> Mask:
         bits = np.zeros((c.h, c.w), dtype=np.uint8)
     else:
         bits = (summed >= ratio * peak).astype(np.uint8)
-    return Mask(h=c.h, w=c.w, bits=bits)
+    return Mask._view(bits)
 
 
 def blend_step(m: Mask, s_den: SpatialMap, s_inv: SpatialMap) -> SpatialMap:
@@ -227,7 +263,7 @@ def blend_step(m: Mask, s_den: SpatialMap, s_inv: SpatialMap) -> SpatialMap:
         )
     bits = m.bits.astype(np.float64)
     values = bits * s_den.values + (1.0 - bits) * s_inv.values
-    return SpatialMap(h=m.h, w=m.w, values=values)
+    return SpatialMap._view(values)
 
 
 def resize_mask(m: Mask, h2: int, w2: int) -> Mask:
@@ -238,12 +274,11 @@ def resize_mask(m: Mask, h2: int, w2: int) -> Mask:
         return m
     rows = [(i + 0.5) * m.h // h2 for i in range(h2)]
     cols = [(j + 0.5) * m.w // w2 for j in range(w2)]
-    bits = m.bits[np.ix_([int(r) for r in rows], [int(c) for c in cols])]
-    return Mask(h=h2, w=w2, bits=bits)
+    return Mask._view(m.bits[np.ix_([int(r) for r in rows], [int(c) for c in cols])])
 
 
 def _mask_union(a: Mask, b: Mask) -> Mask:
-    return Mask(h=a.h, w=a.w, bits=np.maximum(a.bits, b.bits))
+    return Mask._view(np.maximum(a.bits, b.bits))
 
 
 def run_blend_schedule_with_masks(
@@ -292,7 +327,7 @@ def _parse_map(node, path) -> SpatialMap:
     values = reals(node["values"], path, "values", nonneg=True)
     if len(values) != h * w:
         raise ParseError(f"{path}.values: expected a row-major array of {h * w} numbers")
-    return SpatialMap(h=h, w=w, values=np.array(values, dtype=np.float64).reshape(h, w))
+    return SpatialMap._view(np.array(values, dtype=np.float64).reshape(h, w))
 
 
 def _parse_cross(node, path) -> CrossAttentionMap:

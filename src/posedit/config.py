@@ -21,6 +21,13 @@ from .errors import ParseError
 
 FRAME_COUNT_DEFAULT = 12
 
+# ceilings on the counts a run allocates by, so an absurd value is refused as
+# a bad config instead of failing inside numpy
+FRAME_COUNT_MAX = 10_000
+DDIM_STEPS_MAX = 10_000
+LATENT_DIM_MAX = 4_096
+TOKEN_INDEX_MAX = 76  # a CLIP text context holds 77 tokens
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -60,8 +67,8 @@ class PipelineConfig:
             )
 
 
-def _at_least(minimum):
-    return lambda value, key: integer(value, "$", key, minimum=minimum)
+def _count(minimum, maximum=None):
+    return lambda value, key: integer(value, "$", key, minimum=minimum, maximum=maximum)
 
 
 def _open_unit(value, key) -> float:
@@ -73,7 +80,9 @@ def _open_unit(value, key) -> float:
 
 def _tokens(value, key) -> tuple[int, ...]:
     items = array(list(value) if isinstance(value, tuple) else value, "$", key, nonempty=True)
-    return tuple(integer(t, "$", key, i, minimum=0) for i, t in enumerate(items))
+    return tuple(
+        integer(t, "$", key, i, minimum=0, maximum=TOKEN_INDEX_MAX) for i, t in enumerate(items)
+    )
 
 
 def _path(value, key) -> str | None:
@@ -92,11 +101,14 @@ def _command(value, key) -> str | None:
 
 # the rule of each field; every other field is a filesystem path
 _RULES = {
-    **dict.fromkeys(("frame_count", "top_k", "ddim_steps", "latent_dim"), _at_least(1)),
+    "frame_count": _count(1, FRAME_COUNT_MAX),
+    "top_k": _count(1),
+    "ddim_steps": _count(1, DDIM_STEPS_MAX),
+    "latent_dim": _count(1, LATENT_DIM_MAX),
     **dict.fromkeys(("iou_threshold", "blend_ratio", "beta_start", "beta_end"), _open_unit),
     "tokens": _tokens,
     "union_initial_mask": lambda value, key: boolean(value, "$", key),
-    "seed": _at_least(0),
+    "seed": _count(0),
     "embedder_command": _command,
 }
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._schema import array, fraction, integer, load_json, obj, reals, string
-from .errors import ParseError, ShapeError
+from .errors import GeometryError, ParseError, ShapeError
 from .pose_model import BoundingBox, PoseVideo, keypoint_bbox
 from .procrustes import (
     KeypointSet,
@@ -199,11 +199,18 @@ def _donor_or_raise(source: PoseVideo, retrieved: PoseVideo) -> None:
 
 def alignment_transforms(
     source: PoseVideo, assignment: Assignment, retrieved: PoseVideo
-) -> dict[int, SimilarityTransform2D]:
+) -> tuple[dict[int, SimilarityTransform2D], dict[int, str]]:
     """Per matched instance: the similarity transform carrying the retrieved
-    first-frame keypoints onto that instance's source first-frame keypoints."""
+    first-frame keypoints onto that instance's source first-frame keypoints.
+
+    Returns ``(transforms, unaligned)``.  An instance whose alignment
+    :func:`solve_similarity` cannot solve (e.g. fewer than 2 usable joints
+    shared with the retrieved first frame) is left out of ``transforms`` and
+    mapped to that :class:`GeometryError`'s text in ``unaligned``, so one
+    degenerate person does not stop the others' edit.
+    """
     if not assignment.pairs:
-        return {}
+        return {}, {}
     if not len(source.frame_index):
         raise ValueError("source video has no frames")
     if not len(retrieved.frame_index):
@@ -212,7 +219,7 @@ def alignment_transforms(
     first_ids = source.instance_id[: source.offsets[1]].tolist()
     first = {inst_id: row for row, inst_id in enumerate(first_ids)}  # id -> row
     moving = KeypointSet(points=retrieved.xy[0], mask=retrieved.visible[0])
-    out = {}
+    transforms, unaligned = {}, {}
     for _, inst_id in assignment.pairs:
         if inst_id not in first:
             raise ValueError(
@@ -220,8 +227,11 @@ def alignment_transforms(
             )
         row = first[inst_id]
         fixed = KeypointSet(points=source.xy[row], mask=source.visible[row])
-        out[inst_id] = solve_similarity(fixed, moving)
-    return out
+        try:
+            transforms[inst_id] = solve_similarity(fixed, moving)
+        except GeometryError as exc:
+            unaligned[inst_id] = str(exc)
+    return transforms, unaligned
 
 
 def edit_pose_video(
@@ -232,13 +242,13 @@ def edit_pose_video(
 ) -> PoseVideo:
     """Replace each matched instance with the aligned retrieved clip.
 
-    ``transforms`` is what :func:`alignment_transforms` returns for the same
-    arguments: one alignment per matched instance, solved on first frames.
-    Each is applied to every retrieved frame, and the retrieved clip is
-    resampled to the source frame count by nearest index before
-    substitution.  Instances outside the assignment keep their keypoints
-    untouched, and the output always has the source's frame count and frame
-    indices.
+    ``transforms`` is the first of what :func:`alignment_transforms` returns
+    for the same arguments: one alignment per aligned instance, solved on
+    first frames.  Each is applied to every retrieved frame, and the
+    retrieved clip is resampled to the source frame count by nearest index
+    before substitution.  Instances without a transform keep their
+    keypoints untouched, and the output always has the source's frame count
+    and frame indices.
     """
     if not assignment.pairs:
         return source

@@ -194,11 +194,11 @@ def _transform_doc(tr: SimilarityTransform2D) -> dict:
 
 
 def _map_doc(m: SpatialMap) -> dict:
-    return {"h": m.h, "w": m.w, "values": [float(v) for v in m.values.ravel()]}
+    return {"h": m.h, "w": m.w, "values": m.values.ravel().tolist()}
 
 
 def _mask_doc(m: Mask) -> dict:
-    return {"h": m.h, "w": m.w, "bits": [int(b) for b in m.bits.ravel()]}
+    return {"h": m.h, "w": m.w, "bits": m.bits.ravel().tolist()}
 
 
 def _steps_doc(records) -> list[dict]:
@@ -207,6 +207,50 @@ def _steps_doc(records) -> list[dict]:
         {"step": step, "mask": _mask_doc(mask), "s_edit": _map_doc(s_edit)}
         for step, mask, s_edit in records
     ]
+
+
+# One element of a top-level "steps" array exactly as _dump lays it out
+# (indent=2, sorted keys), with %s for an array's items joined by _ITEMS.
+# json.dumps runs its pure-Python encoder whenever indent is set, one call
+# per number; the template joins the reprs json would write in one pass.
+_STEP = """\
+    {
+      "mask": {
+        "bits": [
+          %s
+        ],
+        "h": %r,
+        "w": %r
+      },
+      "s_edit": {
+        "h": %r,
+        "values": [
+          %s
+        ],
+        "w": %r
+      },
+      "step": %r
+    }"""
+_ITEMS = ",\n          "
+
+
+def _dump_steps(doc: dict, records) -> str:
+    """``_dump`` of ``doc`` plus ``"steps": _steps_doc(records)``, the steps
+    rendered by ``_STEP`` (a schedule is never empty, nor are its grids)."""
+    steps = ",\n".join(
+        _STEP
+        % (
+            _ITEMS.join(map(repr, d["mask"]["bits"])),
+            d["mask"]["h"],
+            d["mask"]["w"],
+            d["s_edit"]["h"],
+            _ITEMS.join(map(repr, d["s_edit"]["values"])),
+            d["s_edit"]["w"],
+            d["step"],
+        )
+        for d in _steps_doc(records)
+    )
+    return _dump({**doc, "steps": []}).replace('"steps": []', f'"steps": [\n{steps}\n  ]', 1)
 
 
 # --- commands ---------------------------------------------------------------------
@@ -343,23 +387,26 @@ def run_edit(config: PipelineConfig) -> dict:
         if key not in clips:
             clips[key] = parse_pose_video(_read(video_path))
         retrieved = clips[key]
-        transforms = alignment_transforms(working, assignment, retrieved)
+        transforms, unaligned = alignment_transforms(working, assignment, retrieved)
         edited = edit_pose_video(working, assignment, retrieved, transforms)
         out_name = "edited.json" if len(ranked) == 1 else f"edited_{i + 1:02d}.json"
         files[out_name] = serialize_pose_video(edited)
-        per_entry.append(
-            {
-                "rank": i + 1,
-                "entry_id": entry_id,
-                "label": entry.label,
-                "score": score,
-                "output": out_name,
-                "transforms": {
-                    str(inst_id): _transform_doc(tr)
-                    for inst_id, tr in sorted(transforms.items())
-                },
-            }
-        )
+        entry_doc = {
+            "rank": i + 1,
+            "entry_id": entry_id,
+            "label": entry.label,
+            "score": score,
+            "output": out_name,
+            "transforms": {
+                str(inst_id): _transform_doc(tr) for inst_id, tr in sorted(transforms.items())
+            },
+        }
+        if unaligned:
+            entry_doc["unaligned"] = [
+                {"instance_id": inst_id, "reason": reason}
+                for inst_id, reason in sorted(unaligned.items())
+            ]
+        per_entry.append(entry_doc)
 
     report = {
         "answer": {"subject": answer.subject, "action": answer.action},
@@ -404,9 +451,8 @@ def run_blend_demo(config: PipelineConfig) -> dict:
         "ratio": config.blend_ratio,
         "tokens": list(config.tokens),
         "union_initial_mask": config.union_initial_mask,
-        "steps": _steps_doc(records),
     }
-    names = _publish(out_dir, {"blended.json": _dump(doc)})
+    names = _publish(out_dir, {"blended.json": _dump_steps(doc, records)})
     return {"steps": len(records), "outputs": names}
 
 
@@ -472,7 +518,7 @@ def run_ddim_demo(config: PipelineConfig) -> dict:
         {
             "schedule.json": _dump(schedule),
             "round_trip.json": _dump(round_trip),
-            "blend_log.json": _dump({"steps": _steps_doc(blended)}),
+            "blend_log.json": _dump_steps({}, blended),
         },
     )
     return {"max_abs_error": round_trip_error, "outputs": names}

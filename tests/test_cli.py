@@ -414,6 +414,68 @@ def test_edit_leaves_a_bystander_without_visible_keypoints_unmatched(tmp_path, c
         assert got["instances"][-1] == src["instances"][-1]  # passed through
 
 
+def test_edit_skips_a_person_it_cannot_align_and_edits_the_others(tmp_path, capsys):
+    # the retrieved clip's first frame shows joints 0-8 only; an added person
+    # 99 shows joints 8-16 only, so it shares 1 joint with the clip, too few
+    # to solve an alignment from
+    outs = {}
+    for name in ("without", "with"):
+        bundle = tmp_path / name
+        shutil.copytree(fixture_path("e2e_duo_wave"), bundle)
+        clip = bundle / "db" / "clips" / "wave_01.json"
+        doc = json.loads(clip.read_text(encoding="utf-8"))
+        for kp in doc["frames"][0]["instances"][0]["keypoints"][9:]:
+            kp["visible"] = False
+        clip.write_text(json.dumps(doc), encoding="utf-8")
+        if name == "with":
+            source_doc = json.loads((bundle / "source.json").read_text(encoding="utf-8"))
+            for frame in source_doc["frames"]:
+                shifted = [
+                    {**kp, "x": round(kp["x"] + 230.0, 6), "visible": j >= 8}
+                    for j, kp in enumerate(frame["instances"][0]["keypoints"])
+                ]
+                frame["instances"].append({"instance_id": 99, "keypoints": shifted})
+            (bundle / "source.json").write_text(json.dumps(source_doc), encoding="utf-8")
+            shown = source_doc["frames"][0]["instances"][-1]["keypoints"][8:]
+            dets = json.loads((bundle / "detections.json").read_text(encoding="utf-8"))
+            dets["detections"].append(
+                {
+                    "phrase": "the man further right",
+                    "box": [
+                        min(kp["x"] for kp in shown),
+                        min(kp["y"] for kp in shown),
+                        max(kp["x"] for kp in shown),
+                        max(kp["y"] for kp in shown),
+                    ],
+                    "score": 0.8,
+                }
+            )
+            (bundle / "detections.json").write_text(json.dumps(dets), encoding="utf-8")
+        outs[name] = tmp_path / f"{name}_out"
+        code, out, err = run_cli(
+            capsys, "edit", "--config", str(bundle / "config.json"), "--out-dir", str(outs[name])
+        )
+        assert code == 0, err
+    report = load_out(outs["with"], "report.json")
+    assert sorted(p["instance_id"] for p in report["assignment"]["pairs"]) == [0, 1, 99]
+    entry = report["retrieved"][0]
+    assert entry["unaligned"] == [
+        {
+            "instance_id": 99,
+            "reason": "degenerate configuration: 1 usable correspondences, need at least 2",
+        }
+    ]
+    plain = load_out(outs["without"], "report.json")["retrieved"][0]
+    assert "unaligned" not in plain
+    assert entry["transforms"] == plain["transforms"]
+    want = load_out(outs["without"], "edited.json")["frames"]
+    edited = load_out(outs["with"], "edited.json")["frames"]
+    assert len(edited) == len(want) == len(source_doc["frames"])
+    for got, want_frame, src in zip(edited, want, source_doc["frames"]):
+        assert got["instances"][:-1] == want_frame["instances"]
+        assert got["instances"][-1] == src["instances"][-1]  # passed through
+
+
 def test_edit_refuses_a_clip_whose_skeleton_differs_from_the_source(tmp_path, capsys):
     bundle = copy_bundle(tmp_path, "e2e_girl_dance")
     clip = bundle / "db" / "clips" / "dance_01.json"
@@ -513,6 +575,10 @@ def test_ddim_demo_reports_round_trip_error(tmp_path, capsys):
         (
             {"beta_start": 0.5, "beta_end": 0.99, "ddim_steps": 5000},
             "invalid configuration: alphas[",
+        ),
+        (
+            {"latent_dim": 2**62},
+            f"invalid configuration: latent_dim: expected an integer <= 4096, got {2**62}",
         ),
     ],
 )

@@ -10,7 +10,6 @@ from posedit import (
     BoundingBox,
     Detection,
     DetectionSet,
-    GeometryError,
     ParseError,
     PoseVideo,
     ShapeError,
@@ -250,7 +249,7 @@ def test_edit_replaces_only_matched_instances():
         pairs=((0, 0),), unmatched_detections=(), unmatched_instances=(1,)
     )
     out = edit_pose_video(
-        source, assignment, retrieved, alignment_transforms(source, assignment, retrieved)
+        source, assignment, retrieved, alignment_transforms(source, assignment, retrieved)[0]
     )
     assert len(out.frames) == len(source.frames)
     for got_frame, src_frame in zip(out.frames, source.frames):
@@ -272,7 +271,7 @@ def test_edit_requires_single_instance_retrieved_clip():
     multi = parse_pose_video(read_fixture("pose_corpus", "multi.json"))
     with pytest.raises(ShapeError):
         edit_pose_video(
-            source, assignment, multi, alignment_transforms(source, assignment, multi)
+            source, assignment, multi, alignment_transforms(source, assignment, multi)[0]
         )
 
 
@@ -296,7 +295,7 @@ def test_edit_refuses_a_clip_whose_skeleton_differs_from_the_source():
     )
     with pytest.raises(ShapeError, match="skeleton"):
         alignment_transforms(source, assignment, reversed_joints)
-    transforms = alignment_transforms(source, assignment, retrieved)
+    transforms, _ = alignment_transforms(source, assignment, retrieved)
     with pytest.raises(ShapeError, match="skeleton"):
         edit_pose_video(source, assignment, reversed_joints, transforms)
 
@@ -309,7 +308,7 @@ def test_edit_rejects_unknown_instance_id():
     retrieved = two_frame_video()
     with pytest.raises(ValueError, match="instance_id 7"):
         edit_pose_video(
-            source, assignment, retrieved, alignment_transforms(source, assignment, retrieved)
+            source, assignment, retrieved, alignment_transforms(source, assignment, retrieved)[0]
         )
 
 
@@ -475,11 +474,10 @@ def test_edit_matches_the_per_keypoint_reference(source, data):
         edit_pose_video(source, assignment, retrieved, transforms),
         edit_per_keypoint(source, transforms, retrieved),
     )
-    # and with the transforms alignment_transforms solves
-    try:
-        solved = alignment_transforms(source, assignment, retrieved)
-    except GeometryError:
-        return  # a degenerate first frame has no alignment to apply
+    # and with the transforms alignment_transforms solves; a person whose
+    # first frame is degenerate is left out of them, not fatal
+    solved, unaligned = alignment_transforms(source, assignment, retrieved)
+    assert sorted([*solved, *unaligned]) == sorted(matched)
     assert_same_bits(
         edit_pose_video(source, assignment, retrieved, solved),
         edit_per_keypoint(source, solved, retrieved),

@@ -1,15 +1,19 @@
 import json
 import os
+import re
 import shutil
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from posedit import (
     AnswerRecord,
+    Mask,
     ParseError,
     PipelineConfig,
+    SpatialMap,
     make_config,
     parse_answer,
     parse_pose_video,
@@ -169,6 +173,54 @@ def test_library_values_meet_the_config_file_rule(values, message):
         make_config(values)
     with pytest.raises(ParseError, match=f"^{message}$"):
         PipelineConfig(**values)
+
+
+@pytest.mark.parametrize(
+    "field, bound, named",
+    [
+        ("frame_count", 10_000, "frame_count"),
+        ("ddim_steps", 10_000, "ddim_steps"),
+        ("latent_dim", 4_096, "latent_dim"),
+        ("tokens", 76, "tokens[1]"),  # a CLIP text context holds 77 tokens
+    ],
+)
+def test_counts_stop_at_fixed_ceilings(field, bound, named):
+    as_value = (lambda n: (0, n)) if field == "tokens" else (lambda n: n)
+    assert getattr(make_config({field: as_value(bound)}), field) == as_value(bound)
+    message = f"{re.escape(named)}: expected an integer <= {bound}, got {bound + 1}"
+    with pytest.raises(ParseError, match=f"^invalid configuration: {message}$"):
+        make_config(parse_pipeline_config(json.dumps({field: as_value(bound + 1)})))
+    with pytest.raises(ParseError, match=f"^{message}$"):
+        PipelineConfig(**{field: as_value(bound + 1)})
+
+
+@st.composite
+def blend_records(draw):
+    """(step, mask, s_edit) triples as a blend schedule returns them."""
+    records = []
+    for step in draw(st.lists(st.integers(1, 10**6), min_size=1, max_size=3)):
+        h, w = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        bits = draw(st.lists(st.integers(0, 1), min_size=h * w, max_size=h * w))
+        values = draw(
+            st.lists(
+                st.sampled_from([0.0, -0.0, 5e-324, 1e-07, 1e16, 0.1, 1.5])
+                | st.floats(0.0, allow_infinity=False),
+                min_size=h * w,
+                max_size=h * w,
+            )
+        )
+        mask = Mask(h, w, np.array(bits, dtype=np.uint8).reshape(h, w))
+        records.append((step, mask, SpatialMap(h, w, np.array(values).reshape(h, w))))
+    return records
+
+
+@given(
+    blend_records(),
+    st.sampled_from([{}, {"ratio": 0.3, "tokens": [0, 2], "union_initial_mask": True}]),
+)
+def test_step_writer_matches_the_json_encoder(records, doc):
+    want = pipeline._dump({**doc, "steps": pipeline._steps_doc(records)})
+    assert pipeline._dump_steps(doc, records) == want
 
 
 def test_config_reports_the_first_bad_field_in_field_order():

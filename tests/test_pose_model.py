@@ -214,7 +214,7 @@ def test_array_paths_build_no_views(monkeypatch):
     assignment = Assignment(
         pairs=tuple(enumerate(first_ids)), unmatched_detections=(), unmatched_instances=()
     )
-    transforms = alignment_transforms(working, assignment, retrieved)
+    transforms, _ = alignment_transforms(working, assignment, retrieved)
     edited = edit_pose_video(working, assignment, retrieved, transforms)
     serialize_pose_video(edited)
     out_of_frame_indices(edited)
