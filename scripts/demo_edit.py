@@ -24,8 +24,8 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("bundle", help="bundle directory (source.json, detections.json, ...)")
     ap.add_argument("out_dir", help="directory for the edited clip and report")
-    ap.add_argument("--top-k", type=int, default=1, help="edited variants to emit")
-    ap.add_argument("--frames", type=int, default=12, help="output frame count")
+    ap.add_argument("--top-k", type=int, help="edited variants to emit")
+    ap.add_argument("--frames", type=int, help="output frame count")
     args = ap.parse_args()
 
     config = make_config(
@@ -36,9 +36,8 @@ def main() -> int:
             "db": os.path.join(args.bundle, "db", "manifest.json"),
             "query_embedding": os.path.join(args.bundle, "query.json"),
             "out_dir": args.out_dir,
-            "top_k": args.top_k,
-            "frame_count": args.frames,
-        }
+        },
+        {"top_k": args.top_k, "frame_count": args.frames},
     )
     report = run_edit(config)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._schema import array, integer, load_json, obj, reals
-from .errors import ParseError, ShapeError
+from .errors import GeometryError, ParseError, ShapeError
 
 BLEND_RATIO_DEFAULT = 0.3
 
@@ -233,7 +233,8 @@ def threshold_mask(c: CrossAttentionMap, token_set, ratio: float) -> Mask:
     """Threshold the summed maps of ``token_set`` at ratio * max.
 
     Bit = 1 where the summed value is >= the cutoff.  A summed map that is
-    identically zero has no foreground and yields the all-zero mask.
+    identically zero has no foreground and yields the all-zero mask.  Raises
+    :class:`GeometryError` when the sum overflows the float range.
     """
     token_set = tuple(token_set)
     if not token_set:
@@ -244,9 +245,13 @@ def threshold_mask(c: CrossAttentionMap, token_set, ratio: float) -> Mask:
     if not 0.0 < ratio <= 1.0:
         raise ValueError(f"ratio must be in (0, 1], got {ratio}")
     summed = np.zeros((c.h, c.w), dtype=np.float64)
-    for t in token_set:
-        summed += c.maps[t].values
+    # overflow is reported below as a GeometryError, not as a numpy warning
+    with np.errstate(over="ignore"):
+        for t in token_set:
+            summed += c.maps[t].values
     peak = float(summed.max())
+    if not np.isfinite(peak):
+        raise GeometryError("summed token maps overflow the float range")
     if peak == 0.0:
         bits = np.zeros((c.h, c.w), dtype=np.uint8)
     else:

@@ -55,20 +55,26 @@ class MetricCase:
     ground_truth: VideoEmbeddingRecord | None = None
 
     def __post_init__(self):
-        if self.edited.frame_count != self.source.frame_count:
-            raise ShapeError(
-                f"case {self.case_id!r}: edited has {self.edited.frame_count} frames, "
-                f"source has {self.source.frame_count}"
-            )
-        if (
-            self.ground_truth is not None
-            and self.ground_truth.frame_count != self.edited.frame_count
-        ):
-            raise ShapeError(
-                f"case {self.case_id!r}: ground truth has "
-                f"{self.ground_truth.frame_count} frames, edited has "
-                f"{self.edited.frame_count}"
-            )
+        """Check the sizes scoring compares: the edited clip's frame count
+        and frame embedding dim against the source and ground-truth clips',
+        and its video embedding dim against both prompts'."""
+        edited, gt = self.edited, self.ground_truth
+        frames, frame_dim = edited.frame_count, edited.frame_embeddings[0].dim
+        sizes = [
+            ("source frame count", self.source.frame_count, frames),
+            ("source frame dim", self.source.frame_embeddings[0].dim, frame_dim),
+            ("target prompt dim", self.target_prompt_embedding.dim, edited.video_embedding.dim),
+            ("source prompt dim", self.source_prompt_embedding.dim, edited.video_embedding.dim),
+        ]
+        if gt is not None:
+            sizes.append(("ground-truth frame count", gt.frame_count, frames))
+            sizes.append(("ground-truth frame dim", gt.frame_embeddings[0].dim, frame_dim))
+        for what, size, edited_size in sizes:
+            if size != edited_size:
+                raise ShapeError(
+                    f"case {self.case_id!r}: {what} {size} does not match the edited "
+                    f"clip's {edited_size}"
+                )
 
 
 def prompt_hit(case: MetricCase) -> bool:

@@ -26,8 +26,6 @@ import numpy as np
 from ._schema import load_json
 from .blending import (
     AttentionStack,
-    Mask,
-    SpatialMap,
     SyntheticAttentionPredictor,
     parse_attention_stack,
     run_blend_schedule_with_masks,
@@ -193,22 +191,6 @@ def _transform_doc(tr: SimilarityTransform2D) -> dict:
     }
 
 
-def _map_doc(m: SpatialMap) -> dict:
-    return {"h": m.h, "w": m.w, "values": m.values.ravel().tolist()}
-
-
-def _mask_doc(m: Mask) -> dict:
-    return {"h": m.h, "w": m.w, "bits": m.bits.ravel().tolist()}
-
-
-def _steps_doc(records) -> list[dict]:
-    """The per-step documents of a blend schedule's (step, mask, s_edit)."""
-    return [
-        {"step": step, "mask": _mask_doc(mask), "s_edit": _map_doc(s_edit)}
-        for step, mask, s_edit in records
-    ]
-
-
 # One element of a top-level "steps" array exactly as _dump lays it out
 # (indent=2, sorted keys), with %s for an array's items joined by _ITEMS.
 # json.dumps runs its pure-Python encoder whenever indent is set, one call
@@ -235,20 +217,21 @@ _ITEMS = ",\n          "
 
 
 def _dump_steps(doc: dict, records) -> str:
-    """``_dump`` of ``doc`` plus ``"steps": _steps_doc(records)``, the steps
-    rendered by ``_STEP`` (a schedule is never empty, nor are its grids)."""
+    """``_dump`` of ``doc`` plus a ``"steps"`` array of a blend schedule's
+    ``(step, mask, s_edit)`` records, each rendered by ``_STEP`` (a schedule
+    is never empty, nor are its grids)."""
     steps = ",\n".join(
         _STEP
         % (
-            _ITEMS.join(map(repr, d["mask"]["bits"])),
-            d["mask"]["h"],
-            d["mask"]["w"],
-            d["s_edit"]["h"],
-            _ITEMS.join(map(repr, d["s_edit"]["values"])),
-            d["s_edit"]["w"],
-            d["step"],
+            _ITEMS.join(map(repr, mask.bits.ravel().tolist())),
+            mask.h,
+            mask.w,
+            s_edit.h,
+            _ITEMS.join(map(repr, s_edit.values.ravel().tolist())),
+            s_edit.w,
+            step,
         )
-        for d in _steps_doc(records)
+        for step, mask, s_edit in records
     )
     return _dump({**doc, "steps": []}).replace('"steps": []', f'"steps": [\n{steps}\n  ]', 1)
 

@@ -56,14 +56,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import chain
-from operator import itemgetter, lt
+from operator import itemgetter
 
 import numpy as np
 
 from ._schema import (
     array,
     boolean,
-    finite_floats,
     fraction,
     integer,
     load_json,
@@ -317,19 +316,11 @@ def out_of_frame_indices(video: PoseVideo) -> tuple[tuple[int, int, int], ...]:
 _KEYPOINT_FIELDS = ("x", "y", "visible", "confidence")
 
 
-def _indices(values: list) -> bool:
-    """Every item an integer in [0, _INDEX_MAX]; JSON gives no int subclass
-    but bool, which the exact type test excludes."""
-    return set(map(type, values)) <= {int} and (
-        not values or (min(values) >= 0 and max(values) <= _INDEX_MAX)
-    )
-
-
 def _columns(frames: list, joints: int):
-    """The column lists of a frames array, checked a whole column at a time;
-    None when any check fails.
+    """The raw column lists of a frames array, checked a whole column at a
+    time for JSON types and shape only; None when any check fails.
 
-    Accepts exactly what :func:`_walk` accepts.  Returns ``(frame_index,
+    The values are left to :class:`PoseVideo`.  Returns ``(frame_index,
     counts, instance_id, x, y, visible, confidence)``: per frame, its index
     and number of instances; per instance, its id; per keypoint, its fields.
     """
@@ -340,9 +331,8 @@ def _columns(frames: list, joints: int):
         per_frame = list(map(itemgetter("instances"), frames))
     except KeyError:
         return None
-    if not (_indices(frame_index) and all(map(lt, frame_index, frame_index[1:]))):
-        return None
-    if not set(map(type, per_frame)) <= {list}:
+    # JSON gives no int subclass but bool, which the exact type test excludes
+    if not (set(map(type, frame_index)) <= {int} and set(map(type, per_frame)) <= {list}):
         return None
     counts = list(map(len, per_frame))
     instances = list(chain.from_iterable(per_frame))
@@ -353,14 +343,9 @@ def _columns(frames: list, joints: int):
         per_instance = list(map(itemgetter("keypoints"), instances))
     except KeyError:
         return None
-    if not _indices(ids):
+    if not (set(map(type, ids)) <= {int} and set(map(type, per_instance)) <= {list}):
         return None
-    start = 0
-    for count in counts:
-        if len(set(ids[start:start + count])) != count:
-            return None
-        start += count
-    if not (set(map(type, per_instance)) <= {list} and set(map(len, per_instance)) <= {joints}):
+    if not set(map(len, per_instance)) <= {joints}:
         return None
     keypoints = list(chain.from_iterable(per_instance))
     if not (set(map(type, keypoints)) <= {dict} and set(map(len, keypoints)) <= {4}):
@@ -371,21 +356,16 @@ def _columns(frames: list, joints: int):
         )
     except KeyError:
         return None
-    x, y, confidence = finite_floats(x), finite_floats(y), finite_floats(confidence)
-    if (
-        x is None
-        or y is None
-        or confidence is None
-        or not set(map(type, visible)) <= {bool}
-        or (confidence and not (min(confidence) >= 0.0 and max(confidence) <= 1.0))
-    ):
+    numbers = set(map(type, chain(x, y, confidence)))
+    if not (numbers <= {int, float} and set(map(type, visible)) <= {bool}):
         return None
     return frame_index, counts, ids, x, y, visible, confidence
 
 
 def _walk(frames: list, joints: int):
-    """:func:`_columns` node by node in document order, so that the first
-    bad node raises a :class:`ParseError` naming its path."""
+    """The checks of :func:`_columns` and :class:`PoseVideo` node by node in
+    document order, so that the first bad node raises a :class:`ParseError`
+    naming its path."""
     frame_index, counts, ids = [], [], []
     x, y, visible, confidence = [], [], [], []
     for fi, frame_node in enumerate(frames):
@@ -449,11 +429,21 @@ def parse_pose_video(text: str) -> PoseVideo:
     label = string(doc["label"], "$", "label") if "label" in doc else None
 
     frames = array(doc["frames"], "$", "frames")
-    joints = len(skeleton)
-    columns = _columns(frames, joints)
-    if columns is None:  # some node is bad: walk to the first one
-        columns = _walk(frames, joints)
+    columns = _columns(frames, len(skeleton))
+    if columns is not None:
+        try:
+            return _video(width, height, skeleton, label, columns)
+        except (ValueError, OverflowError):  # a value PoseVideo refuses, or an
+            pass  # int past int64 or float range that numpy cannot convert
+    # some node is bad: the walk names the first one
+    return _video(width, height, skeleton, label, _walk(frames, len(skeleton)))
+
+
+def _video(width, height, skeleton, label, columns) -> PoseVideo:
+    """The :class:`PoseVideo` of the column lists :func:`_columns` or
+    :func:`_walk` returns."""
     frame_index, counts, ids, x, y, visible, confidence = columns
+    joints = len(skeleton)
     return PoseVideo(
         width,
         height,
@@ -461,9 +451,9 @@ def parse_pose_video(text: str) -> PoseVideo:
         frame_index=frame_index,
         offsets=np.cumsum([0] + counts),
         instance_id=ids,
-        xy=np.column_stack((x, y)).reshape(len(ids), joints, 2),
-        visible=np.array(visible, dtype=bool).reshape(len(ids), joints),
-        confidence=np.array(confidence, dtype=np.float64).reshape(len(ids), joints),
+        xy=np.column_stack((np.array(x, np.float64), np.array(y, np.float64))).reshape(-1, joints, 2),
+        visible=np.array(visible, dtype=bool).reshape(-1, joints),
+        confidence=np.array(confidence, dtype=np.float64).reshape(-1, joints),
         label=label,
     )
 

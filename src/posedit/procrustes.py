@@ -85,11 +85,13 @@ class SimilarityTransform2D:
         return np.array([[c, -s], [s, c]], dtype=np.float64)
 
     def apply(self, points: np.ndarray) -> np.ndarray:
-        """Map an (n, 2) array of coordinates through the transform."""
+        """Map an (n, 2) array of coordinates through the transform, one
+        1x2 @ 2x2 product per point: a point's bits do not depend on n."""
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise ShapeError(f"points must have shape (n, 2), got {pts.shape}")
-        return self.scale * pts @ self.rotation().T + np.asarray(self.translation)
+        rotated = (self.scale * pts)[:, None, :] @ self.rotation().T
+        return rotated[:, 0, :] + np.asarray(self.translation)
 
 
 def solve_similarity(fixed: KeypointSet, moving: KeypointSet) -> SimilarityTransform2D:
@@ -167,14 +169,9 @@ def apply_transform(tr: SimilarityTransform2D, video: PoseVideo) -> PoseVideo:
     preserved.  Raises :class:`GeometryError` when a mapped coordinate
     overflows to infinity.
     """
-    points = video.xy[video.visible]
-    # one 1x2 @ 2x2 product per point, as tr.apply(point[None]) computes it:
-    # a single (n, 2) @ (2, 2) product or written-out terms round differently;
     # overflow is reported below as a GeometryError, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
-        mapped = ((tr.scale * points)[:, None, :] @ tr.rotation().T)[:, 0, :] + np.asarray(
-            tr.translation
-        )
+        mapped = tr.apply(video.xy[video.visible])
     if not np.isfinite(mapped).all():
         raise GeometryError("aligned keypoint coordinates overflow the float range")
     xy = video.xy.copy()

@@ -8,6 +8,7 @@ from posedit import (
     AttentionStack,
     BlendStepRecord,
     CrossAttentionMap,
+    GeometryError,
     Mask,
     ParseError,
     ShapeError,
@@ -43,6 +44,14 @@ def mask(rows):
 
 
 # --- thresholding -------------------------------------------------------------------
+
+
+def test_threshold_of_an_overflowing_token_sum_is_a_geometry_error():
+    # each map is finite; their sum is not, and numpy must not warn about it
+    c = cross([[1.7e308, 1.0]], [[1.7e308, 1.0]])
+    with pytest.raises(GeometryError, match="overflow"):
+        threshold_mask(c, (0, 1), 0.5)
+    assert threshold_mask(c, (0,), 0.5).bits.tolist() == [[1, 0]]
 
 
 def test_threshold_known_grid():

@@ -552,6 +552,30 @@ def test_blend_demo_without_stack_exits_3(tmp_path, capsys):
     assert "supply --stack" in err
 
 
+def test_blend_demo_overflowing_token_sum_exits_3(tmp_path, capsys):
+    def grid(*values):
+        return {"h": 1, "w": 2, "values": list(values)}
+
+    step = {
+        "step": 1,
+        "c_inv": [grid(1.7e308, 1.0), grid(1.7e308, 1.0)],
+        "s_inv": grid(1.0, 2.0),
+        "c_den": [grid(1.0, 1.0), grid(1.0, 1.0)],
+        "s_den": grid(3.0, 4.0),
+    }
+    stack = tmp_path / "stack.json"
+    stack.write_text(json.dumps({"steps": [step]}), encoding="utf-8")
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"tokens": [0, 1]}), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(
+        capsys, "blend-demo", "--config", str(cfg), "--stack", str(stack), "--out-dir", str(out_dir)
+    )
+    assert code == 3
+    assert err == "error: summed token maps overflow the float range\n"
+    assert not out_dir.exists()
+
+
 # --- ddim-demo --------------------------------------------------------------------
 
 
@@ -665,6 +689,49 @@ def test_metrics_overflowing_norm_exits_3(tmp_path, capsys):
     assert code == 3
     assert "overflows" in err
     assert "NaN" not in written_text(out_dir)
+
+
+@pytest.mark.parametrize(
+    "slot, message",
+    [
+        ("source", "source frame dim 4 does not match the edited clip's 3"),
+        ("ground_truth", "ground-truth frame dim 4 does not match the edited clip's 3"),
+        ("target_prompt_embedding", "target prompt dim 4 does not match the edited clip's 3"),
+        ("source_prompt_embedding", "source prompt dim 4 does not match the edited clip's 3"),
+    ],
+)
+def test_metrics_dim_mismatch_across_a_case_exits_2(tmp_path, capsys, slot, message):
+    def emb(dim):
+        return {"dim": dim, "values": [1.0] + [0.5] * (dim - 1)}
+
+    def rec(video_id, dim):
+        return {
+            "video_id": video_id,
+            "video_embedding": emb(dim),
+            "frame_embeddings": [emb(dim)],
+        }
+
+    def case(case_id):
+        return {
+            "case_id": case_id,
+            "edited": rec("edited", 3),
+            "source": rec("source", 3),
+            "ground_truth": rec("truth", 3),
+            "target_prompt_embedding": emb(3),
+            "source_prompt_embedding": emb(3),
+        }
+
+    bad = case("bad")
+    bad[slot] = rec("other", 4) if slot in ("source", "ground_truth") else emb(4)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps([case("ok"), bad]), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(
+        capsys, "metrics", "--manifest", str(manifest), "--out-dir", str(out_dir)
+    )
+    assert code == 2
+    assert err == f"error: $[1]: case 'bad': {message}\n"
+    assert not out_dir.exists()
 
 
 # --- publishing -------------------------------------------------------------------

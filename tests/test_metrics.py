@@ -99,6 +99,27 @@ def test_frame_count_mismatch_is_rejected():
         )
 
 
+def test_case_checks_the_dims_scoring_compares():
+    frames, wide = (vec(1.0, 0.0),), (vec(1.0, 0.0, 0.0),)
+    fields = {
+        "case_id": "c",
+        "edited": record("e", vec(1.0, 0.0, 0.0), frames),
+        "source": record("s", vec(1.0), frames),  # its video embedding is never scored
+        "target_prompt_embedding": vec(1.0, 0.0, 1.0),
+        "source_prompt_embedding": vec(0.0, 1.0, 0.0),
+        "ground_truth": record("g", vec(2.0), frames),
+    }
+    assert prompt_hit(MetricCase(**fields))
+    for key, value, what in (
+        ("source", record("s", vec(1.0), wide), "source frame dim 3"),
+        ("ground_truth", record("g", vec(1.0), wide), "ground-truth frame dim 3"),
+        ("target_prompt_embedding", vec(1.0, 0.0), "target prompt dim 2"),
+        ("source_prompt_embedding", vec(1.0, 0.0), "source prompt dim 2"),
+    ):
+        with pytest.raises(ShapeError, match=f"^case 'c': {what} does not match"):
+            MetricCase(**{**fields, key: value})
+
+
 def test_record_needs_frames_and_uniform_dims():
     with pytest.raises(ShapeError, match="frame"):
         record("empty", vec(1.0), ())

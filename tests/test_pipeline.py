@@ -219,7 +219,15 @@ def blend_records(draw):
     st.sampled_from([{}, {"ratio": 0.3, "tokens": [0, 2], "union_initial_mask": True}]),
 )
 def test_step_writer_matches_the_json_encoder(records, doc):
-    want = pipeline._dump({**doc, "steps": pipeline._steps_doc(records)})
+    steps = [
+        {
+            "step": step,
+            "mask": {"h": mask.h, "w": mask.w, "bits": mask.bits.ravel().tolist()},
+            "s_edit": {"h": s_edit.h, "w": s_edit.w, "values": s_edit.values.ravel().tolist()},
+        }
+        for step, mask, s_edit in records
+    ]
+    want = json.dumps({**doc, "steps": steps}, sort_keys=True, indent=2) + "\n"
     assert pipeline._dump_steps(doc, records) == want
 
 

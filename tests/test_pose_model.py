@@ -172,6 +172,57 @@ def test_column_checks_accept_what_the_walk_accepts(video):
     assert columns == pose_model._walk(doc["frames"], joints)
 
 
+# values that pass _columns' JSON type tests but break a PoseVideo rule
+BAD_INDICES = st.integers(max_value=-1) | st.integers(min_value=2**63, max_value=10**400)
+PAST_FLOAT_RANGE = st.integers(min_value=2**1024, max_value=10**400).map(
+    lambda v: v * (1, -1)[v % 2]
+)
+BAD_CONFIDENCES = (
+    st.floats(allow_nan=False, allow_infinity=False).filter(lambda v: not 0.0 <= v <= 1.0)
+    | st.integers(min_value=2, max_value=10**300)
+    | st.integers(max_value=-1)
+)
+
+
+@st.composite
+def broken_clips(draw):
+    """The frames array of a valid clip with one value-rule breaker swapped in,
+    and the clip's joint count."""
+    video = draw(ragged_videos(min_frames=1, people=(1, 3)))
+    frames = json.loads(serialize_pose_video(video))["frames"]
+    fi = draw(st.integers(0, len(frames) - 1))
+    frame = frames[fi]
+    instance = draw(st.sampled_from(frame["instances"]))
+    keypoint = draw(st.sampled_from(instance["keypoints"]))
+    kind = draw(st.sampled_from(["frame", "id", "repeat", "order", "confidence", "huge"]))
+    if kind == "frame":
+        frame["frame_index"] = draw(BAD_INDICES)
+    elif kind == "id":
+        instance["instance_id"] = draw(BAD_INDICES)
+    elif kind == "repeat":
+        frame["instances"].append(json.loads(json.dumps(instance)))
+    elif kind == "order":
+        index = draw(st.integers(0, frame["frame_index"]))
+        frames.insert(fi + 1, {"frame_index": index, "instances": []})
+    elif kind == "confidence":
+        keypoint["confidence"] = draw(BAD_CONFIDENCES)
+    else:
+        keypoint[draw(st.sampled_from(["x", "y", "confidence"]))] = draw(PAST_FLOAT_RANGE)
+    return frames, len(video.skeleton)
+
+
+@given(broken_clips())
+def test_a_value_breaker_is_named_exactly_as_the_walk_names_it(clip):
+    frames, joints = clip
+    assert pose_model._columns(frames, joints) is not None  # only PoseVideo refuses it
+    with pytest.raises(ParseError) as walked:
+        pose_model._walk(frames, joints)
+    text = json.dumps({"width": 8, "height": 8, "skeleton": ["j"] * joints, "frames": frames})
+    with pytest.raises(ParseError) as parsed:  # a ValueError or OverflowError fails here
+        parse_pose_video(text)
+    assert str(parsed.value) == str(walked.value)
+
+
 def test_zero_frames_and_empty_frames_round_trip():
     for frames in ([], [(3, [])]):
         video = pose_video(4, 4, ("a", "b"), frames)

@@ -203,6 +203,23 @@ def test_solver_never_loses_to_the_scan_oracle(seed):
     assert got <= scan[3] + 1e-6
 
 
+@given(st.integers(min_value=0, max_value=2**31 - 1))
+def test_residual_measures_the_clip_apply_transform_writes(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 18))
+    fixed = rng.uniform(-500.0, 500.0, size=(n, 2))
+    moving = rng.uniform(-500.0, 500.0, size=(n, 2))
+    usable = rng.random(n) < 0.8
+    try:
+        tr = solve_similarity(kps(fixed), kps(moving, usable))
+    except GeometryError:
+        assume(False)
+    keypoints = [(x, y, v) for (x, y), v in zip(moving.tolist(), usable.tolist())]
+    clip = pose_video(10, 10, [f"j{i}" for i in range(n)], [(0, [(0, keypoints)])])
+    diff = fixed[usable] - apply_transform(tr, clip).xy[0][usable]
+    assert residual(tr, kps(fixed), kps(moving, usable)) == float((diff * diff).sum())
+
+
 # --- whole-video application --------------------------------------------------------
 
 
