@@ -24,14 +24,11 @@ from .config import PipelineConfig, make_config, parse_pipeline_config
 from .ddim import (
     DdimSchedule,
     LatentState,
-    constant_predictor,
     ddim_denoise_step,
     ddim_invert_step,
-    ldm_loss,
     linear_predictor,
     make_schedule,
     sample_with_blend,
-    zero_predictor,
 )
 from .editor import (
     Assignment,
@@ -65,7 +62,6 @@ from .metrics import (
 )
 from .pipeline import AnswerRecord, parse_answer
 from .pose_model import (
-    COCO_17_JOINTS,
     BoundingBox,
     PoseFrame,
     PoseInstance,

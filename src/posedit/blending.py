@@ -178,55 +178,56 @@ class AttentionStack:
         return self.steps[0].inversion_cross.tokens
 
 
-# the grid of SyntheticAttentionPredictor's maps
+# the grid of synthetic_attention_stack's maps
 _GRID_H = 4
 _GRID_W = 4
 
 
-class SyntheticAttentionPredictor:
-    """Wraps a noise predictor with deterministic fake attention maps.
+def synthetic_attention_stack(trajectory, tokens: int) -> AttentionStack:
+    """Deterministic stand-in attention for a sampled trajectory.
 
-    The sampler's blending hook needs per-step cross- and self-attention; a
-    real U-Net would supply them, so the demo derives small grids from the
-    latent itself.  Values are arbitrary but deterministic: |z| tiled row-major
-    into a 4 x 4 grid, scaled per token and per process.
+    A real U-Net would record cross- and self-attention at each denoising
+    step; the demo derives small grids from the latent instead.  Each state
+    of ``trajectory`` but the last (the step-0 result) gives one record at its
+    step: |z| tiled row-major into a 4 x 4 grid, scaled per token and per
+    process.  Raises :class:`GeometryError` when a map overflows the float
+    range.
     """
-
-    def __init__(self, base, tokens: int):
-        if tokens < 1:
-            raise ValueError("tokens must be >= 1")
-        self._base = base
-        self._tokens = tokens
-
-    def __call__(self, z, t, tau):
-        return self._base(z, t, tau)
-
-    def attention_record(self, z, t, tau) -> BlendStepRecord:
-        flat = np.abs(np.asarray(z, dtype=np.float64))
-        reps = -(-(_GRID_H * _GRID_W) // flat.size)
-        grid = np.tile(flat, reps)[: _GRID_H * _GRID_W].reshape(_GRID_H, _GRID_W)
-        tokens = range(self._tokens)
-        # inversion cross, inversion self, denoising cross, denoising self
-        scales = np.array(
-            [1.0 + 0.25 * k for k in tokens]
-            + [2.0]
-            + [0.5 + 0.25 * k + 0.01 * t for k in tokens]
-            + [3.0 + 0.01 * t]
-        )
-        values = scales[:, None, None] * grid
-        # |z| and the scales are non-negative for every step >= 1, the only
-        # steps BlendStepRecord accepts; only an overflow can spoil a map
-        if not np.isfinite(values).all():
-            raise ValueError("map values must be finite")
-        maps = [SpatialMap._view(v) for v in values]
-        n = self._tokens
-        return BlendStepRecord(
-            step=t,
-            inversion_cross=CrossAttentionMap._view(tuple(maps[:n])),
-            inversion_self=maps[n],
-            denoise_cross=CrossAttentionMap._view(tuple(maps[n + 1 : 2 * n + 1])),
-            denoise_self=maps[2 * n + 1],
-        )
+    if tokens < 1:
+        raise ValueError("tokens must be >= 1")
+    records = []
+    # overflow is reported below as a GeometryError, not as a numpy warning
+    with np.errstate(over="ignore"):
+        for z in trajectory[:-1]:
+            t = z.t
+            flat = np.abs(z.values)
+            reps = -(-(_GRID_H * _GRID_W) // flat.size)
+            grid = np.tile(flat, reps)[: _GRID_H * _GRID_W].reshape(_GRID_H, _GRID_W)
+            # inversion cross, inversion self, denoising cross, denoising self
+            scales = np.array(
+                [1.0 + 0.25 * k for k in range(tokens)]
+                + [2.0]
+                + [0.5 + 0.25 * k + 0.01 * t for k in range(tokens)]
+                + [3.0 + 0.01 * t]
+            )
+            values = scales[:, None, None] * grid
+            # |z| and the scales are non-negative for every step >= 1, the only
+            # steps BlendStepRecord accepts; only an overflow can spoil a map
+            if not np.isfinite(values).all():
+                raise GeometryError(f"step {t}: attention maps overflow the float range")
+            maps = [SpatialMap._view(v) for v in values]
+            records.append(
+                BlendStepRecord(
+                    step=t,
+                    inversion_cross=CrossAttentionMap._view(tuple(maps[:tokens])),
+                    inversion_self=maps[tokens],
+                    denoise_cross=CrossAttentionMap._view(
+                        tuple(maps[tokens + 1 : 2 * tokens + 1])
+                    ),
+                    denoise_self=maps[2 * tokens + 1],
+                )
+            )
+    return AttentionStack(steps=tuple(records))
 
 
 def threshold_mask(c: CrossAttentionMap, token_set, ratio: float) -> Mask:

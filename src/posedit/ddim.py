@@ -13,8 +13,8 @@ are plain vectors: the arithmetic under test is shape-agnostic, and anything
 image-like lives behind ingestion boundaries elsewhere.
 
 Noise predictors are caller-supplied callables (z, t, tau) -> eps.  The
-analytic families used throughout the tests and the demo command live at the
-bottom of this module; each induces a closed-form trajectory.
+linear family at the bottom of this module, used by the tests and the demo
+command, induces a closed-form trajectory.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import GeometryError, ShapeError
 
 BETA_START_DEFAULT = 0.00085
 BETA_END_DEFAULT = 0.012
@@ -97,6 +97,16 @@ class LatentState:
     values: np.ndarray
     t: int
 
+    @classmethod
+    def _view(cls, values: np.ndarray, t: int) -> LatentState:
+        """A state over ``values``, a fresh flat float64 array its maker has
+        already checked finite: the public constructor would check it again."""
+        z = cls.__new__(cls)
+        values.setflags(write=False)
+        object.__setattr__(z, "values", values)
+        object.__setattr__(z, "t", t)
+        return z
+
     def __post_init__(self):
         arr = np.array(self.values, dtype=np.float64, copy=True)
         if arr.ndim != 1:
@@ -120,94 +130,53 @@ def _check_eps(eps, dim: int) -> np.ndarray:
     return arr
 
 
-def _move(values, eps, a_from, a_to):
-    """The DDIM update from the level with cumulative alpha ``a_from`` to the
-    one with ``a_to``: estimate the clean latent, then re-noise it."""
-    scaled = (values - math.sqrt(1.0 - a_from) * eps) / math.sqrt(a_from)
-    return math.sqrt(a_to) * scaled + math.sqrt(1.0 - a_to) * eps
+def _move(z: LatentState, eps, sched: DdimSchedule, t_to: int) -> LatentState:
+    """The DDIM update of ``z`` from its step to step ``t_to``: estimate the
+    clean latent, then re-noise it.  Raises :class:`GeometryError` when the
+    result overflows the float range."""
+    a_from, a_to = sched.alphas[z.t], sched.alphas[t_to]
+    eps = _check_eps(eps, z.dim)
+    # overflow is reported below as a GeometryError, not as a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = (z.values - math.sqrt(1.0 - a_from) * eps) / math.sqrt(a_from)
+        values = math.sqrt(a_to) * scaled + math.sqrt(1.0 - a_to) * eps
+    if not np.isfinite(values).all():
+        raise GeometryError(
+            f"step {z.t} -> {t_to}: latent values overflow the float range"
+        )
+    return LatentState._view(values, t_to)
 
 
 def ddim_denoise_step(z_t: LatentState, eps, sched: DdimSchedule) -> LatentState:
     """One deterministic denoising step t -> t-1 for the given noise estimate."""
-    t = z_t.t
-    if not 1 <= t <= sched.steps:
-        raise ValueError(f"step index {t} outside [1, {sched.steps}]")
-    eps = _check_eps(eps, z_t.dim)
-    values = _move(z_t.values, eps, sched.alphas[t], sched.alphas[t - 1])
-    return LatentState(values=values, t=t - 1)
+    if not 1 <= z_t.t <= sched.steps:
+        raise ValueError(f"step index {z_t.t} outside [1, {sched.steps}]")
+    return _move(z_t, eps, sched, z_t.t - 1)
 
 
 def ddim_invert_step(z_prev: LatentState, eps, sched: DdimSchedule) -> LatentState:
     """The inverse step t-1 -> t: the unique z_t that denoises back to z_prev."""
-    t_prev = z_prev.t
-    if not 0 <= t_prev <= sched.steps - 1:
-        raise ValueError(f"step index {t_prev} outside [0, {sched.steps - 1}]")
-    eps = _check_eps(eps, z_prev.dim)
-    values = _move(z_prev.values, eps, sched.alphas[t_prev], sched.alphas[t_prev + 1])
-    return LatentState(values=values, t=t_prev + 1)
-
-
-def ldm_loss(eps_true, eps_pred) -> float:
-    """Squared L2 distance between a true noise vector and a prediction."""
-    a = np.asarray(eps_true, dtype=np.float64)
-    b = np.asarray(eps_pred, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
-    diff = a - b
-    return float(diff @ diff)
+    if not 0 <= z_prev.t <= sched.steps - 1:
+        raise ValueError(f"step index {z_prev.t} outside [0, {sched.steps - 1}]")
+    return _move(z_prev, eps, sched, z_prev.t + 1)
 
 
 def sample_with_blend(
-    z_start: LatentState,
-    pred,
-    tau,
-    sched: DdimSchedule,
-    blend_hook=None,
+    z_start: LatentState, pred, tau, sched: DdimSchedule
 ) -> list[LatentState]:
     """Iterate denoising steps from ``z_start.t`` down to step 0.
 
-    Returns every intermediate latent, ``z_start`` first.  When a hook is
-    given, the predictor must expose ``attention_record(z, t, tau)``; the hook
-    is called with that record after each step and may log whatever it blends.
-    Latents never depend on the hook.
+    Returns every intermediate latent, ``z_start`` first.
     """
-    if blend_hook is not None and not hasattr(pred, "attention_record"):
-        raise ValueError(
-            "blend_hook requires a predictor with an attention_record method"
-        )
     trajectory = [z_start]
     z = z_start
     for t in range(z_start.t, 0, -1):
-        eps = pred(z.values, t, tau)
-        z_next = ddim_denoise_step(z, eps, sched)
-        if blend_hook is not None:
-            blend_hook(pred.attention_record(z.values, t, tau))
-        trajectory.append(z_next)
-        z = z_next
+        z = ddim_denoise_step(z, pred(z.values, t, tau), sched)
+        trajectory.append(z)
     return trajectory
 
 
-# --- analytic predictor families ------------------------------------------------
-
-
-def zero_predictor():
-    """eps = 0: each step rescales the latent by sqrt(a_prev / a_t)."""
-
-    def pred(z, t, tau):
-        return np.zeros_like(z)
-
-    return pred
-
-
-def constant_predictor(eps0):
-    """eps fixed regardless of state or step."""
-    eps0 = np.array(eps0, dtype=np.float64, copy=True)
-    eps0.setflags(write=False)
-
-    def pred(z, t, tau):
-        return eps0
-
-    return pred
+# --- analytic predictor family --------------------------------------------------
 
 
 def linear_predictor(matrix):
@@ -215,7 +184,8 @@ def linear_predictor(matrix):
 
     With a_t = alphas[t] and a_prev = alphas[t-1] the coefficients are
     c_t = sqrt(a_prev / a_t) and d_t = sqrt(1 - a_prev) - c_t * sqrt(1 - a_t),
-    so whole trajectories collapse to matrix products.
+    so whole trajectories collapse to matrix products.  An eps that overflows
+    comes back non-finite, for the step that uses it to refuse.
     """
     a = np.array(matrix, dtype=np.float64, copy=True)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -225,6 +195,7 @@ def linear_predictor(matrix):
     def pred(z, t, tau):
         if z.shape != (a.shape[0],):
             raise ShapeError(f"latent dim {z.shape} does not match matrix {a.shape}")
-        return a @ z
+        with np.errstate(over="ignore", invalid="ignore"):
+            return a @ z
 
     return pred

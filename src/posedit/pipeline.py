@@ -25,10 +25,9 @@ import numpy as np
 
 from ._schema import load_json
 from .blending import (
-    AttentionStack,
-    SyntheticAttentionPredictor,
     parse_attention_stack,
     run_blend_schedule_with_masks,
+    synthetic_attention_stack,
 )
 from .config import PipelineConfig
 from .ddim import (
@@ -128,8 +127,13 @@ def _write(out_dir: str, name: str, text: str) -> str:
     return name
 
 
-def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+def _dump(name: str, doc) -> str:
+    """``doc`` as the JSON text of the output file ``name``; a value JSON
+    cannot hold (NaN, an infinity) is refused rather than written."""
+    try:
+        return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise StageError(f"cannot write {name}: {exc}") from exc
 
 
 def _named_by_manifest(manifest: str) -> set[str]:
@@ -155,12 +159,17 @@ def _named_by_manifest(manifest: str) -> set[str]:
     }
 
 
-def _publish(out_dir: str, files: dict[str, str]) -> list[str]:
-    """Write one run's ``{name: text}`` outputs, then ``manifest.json`` naming
-    them; return the sorted names.  An older manifest goes first, together
+def _publish(out_dir: str, files: dict) -> list[str]:
+    """Write one run's ``{name: output}`` files, then ``manifest.json`` naming
+    them; return the sorted names.  A text output is written as it is, any
+    other as JSON by :func:`_dump`.  An older manifest goes first, together
     with the files it names that this run does not write: the files a
     ``manifest.json`` names always come from one complete run, and a rerun
     leaves none of the previous run's outputs behind."""
+    texts = {
+        name: out if isinstance(out, str) else _dump(name, out)
+        for name, out in files.items()
+    }
     manifest = os.path.join(out_dir, "manifest.json")
     stale = sorted(_named_by_manifest(manifest) - set(files))
     try:
@@ -172,8 +181,8 @@ def _publish(out_dir: str, files: dict[str, str]) -> list[str]:
                 os.remove(path)
     except OSError as exc:
         raise StageError(f"cannot write {exc.filename}: {exc}") from exc
-    names = sorted(_write(out_dir, name, text) for name, text in files.items())
-    _write(out_dir, "manifest.json", _dump({"files": names}))
+    names = sorted(_write(out_dir, name, text) for name, text in texts.items())
+    _write(out_dir, "manifest.json", _dump("manifest.json", {"files": names}))
     return names
 
 
@@ -216,7 +225,7 @@ _STEP = """\
 _ITEMS = ",\n          "
 
 
-def _dump_steps(doc: dict, records) -> str:
+def _dump_steps(name: str, doc: dict, records) -> str:
     """``_dump`` of ``doc`` plus a ``"steps"`` array of a blend schedule's
     ``(step, mask, s_edit)`` records, each rendered by ``_STEP`` (a schedule
     is never empty, nor are its grids)."""
@@ -233,7 +242,8 @@ def _dump_steps(doc: dict, records) -> str:
         )
         for step, mask, s_edit in records
     )
-    return _dump({**doc, "steps": []}).replace('"steps": []', f'"steps": [\n{steps}\n  ]', 1)
+    head = _dump(name, {**doc, "steps": []})
+    return head.replace('"steps": []', f'"steps": [\n{steps}\n  ]', 1)
 
 
 # --- commands ---------------------------------------------------------------------
@@ -266,12 +276,10 @@ def run_align(config: PipelineConfig, fixed_path: str, moving_path: str) -> dict
     names = _publish(
         out_dir,
         {
-            "transform.json": _dump(
-                {
-                    "transform": _transform_doc(tr),
-                    "residual": residual(tr, fixed_set, moving_set),
-                }
-            ),
+            "transform.json": {
+                "transform": _transform_doc(tr),
+                "residual": residual(tr, fixed_set, moving_set),
+            },
             "aligned.json": serialize_pose_video(aligned),
         },
     )
@@ -298,7 +306,7 @@ def run_retrieve(config: PipelineConfig) -> dict:
         }
         for i, (entry_id, score) in enumerate(ranked)
     ]
-    names = _publish(out_dir, {"retrieval.json": _dump({"ranking": ranking})})
+    names = _publish(out_dir, {"retrieval.json": {"ranking": ranking}})
     return {"ranking": ranking, "outputs": names}
 
 
@@ -316,13 +324,15 @@ def _embed_answer(config: PipelineConfig, answer: AnswerRecord):
             shlex.split(config.embedder_command),
             input=answer.raw,
             capture_output=True,
-            text=True,
+            encoding="utf-8",
             timeout=60,
         )
     except OSError as exc:
         raise StageError(f"embedder command failed to start: {exc}") from exc
     except subprocess.TimeoutExpired as exc:
         raise StageError("embedder command timed out") from exc
+    except UnicodeDecodeError as exc:
+        raise StageError(f"embedder command output is not UTF-8: {exc}") from exc
     if proc.returncode != 0:
         raise StageError(
             f"embedder command exited with {proc.returncode}: {proc.stderr.strip()}"
@@ -413,7 +423,7 @@ def run_edit(config: PipelineConfig) -> dict:
     }
     if not assignment.pairs:
         report["note"] = "no individuals matched"
-    files["report.json"] = _dump(report)
+    files["report.json"] = report
     _publish(out_dir, files)
     return report
 
@@ -435,18 +445,18 @@ def run_blend_demo(config: PipelineConfig) -> dict:
         "tokens": list(config.tokens),
         "union_initial_mask": config.union_initial_mask,
     }
-    names = _publish(out_dir, {"blended.json": _dump_steps(doc, records)})
+    names = _publish(out_dir, {"blended.json": _dump_steps("blended.json", doc, records)})
     return {"steps": len(records), "outputs": names}
 
 
 def run_ddim_demo(config: PipelineConfig) -> dict:
-    """Exercise the schedule, the exact inversion round trip, and the hook.
+    """Exercise the schedule, the exact inversion round trip, and blending.
 
     A seeded latent is inverted from step 0 up to T with a linear noise
     predictor, recording each step's noise vector, then denoised back while
     replaying those vectors, which makes the round trip exact up to rounding.
-    The denoising pass also feeds synthetic attention records to a blending
-    hook; each blended map lands in ``blend_log.json``.
+    Synthetic attention derived from the denoising trajectory is then blended
+    step by step; each blended map lands in ``blend_log.json``.
     """
     out_dir = _needed(config.out_dir, "--out-dir")
     try:
@@ -467,17 +477,11 @@ def run_ddim_demo(config: PipelineConfig) -> dict:
     z_top = z
 
     # replaying the recorded noise makes the denoise pass the exact inverse
-    replay = SyntheticAttentionPredictor(
-        lambda zv, t, tau: noise_log[t], tokens=max(config.tokens) + 1
-    )
-    records = []
-    trajectory = sample_with_blend(
-        z_top, replay, None, sched, blend_hook=records.append
-    )
+    trajectory = sample_with_blend(z_top, lambda zv, t, tau: noise_log[t], None, sched)
     reconstructed = trajectory[-1]
     round_trip_error = float(np.max(np.abs(reconstructed.values - z0.values)))
 
-    stack = AttentionStack(steps=tuple(records))
+    stack = synthetic_attention_stack(trajectory, max(config.tokens) + 1)
     blended = run_blend_schedule_with_masks(
         stack, config.tokens, config.blend_ratio, config.union_initial_mask
     )
@@ -499,9 +503,9 @@ def run_ddim_demo(config: PipelineConfig) -> dict:
     names = _publish(
         out_dir,
         {
-            "schedule.json": _dump(schedule),
-            "round_trip.json": _dump(round_trip),
-            "blend_log.json": _dump_steps({}, blended),
+            "schedule.json": schedule,
+            "round_trip.json": round_trip,
+            "blend_log.json": _dump_steps("blend_log.json", {}, blended),
         },
     )
     return {"max_abs_error": round_trip_error, "outputs": names}
@@ -567,7 +571,5 @@ def run_metrics(config: PipelineConfig) -> dict:
     if has_gt:
         lines.append(f"gt_con   {aggregates['gt_con']:.6f}")
 
-    _publish(
-        out_dir, {"report.json": _dump(report), "report.txt": "\n".join(lines) + "\n"}
-    )
+    _publish(out_dir, {"report.json": report, "report.txt": "\n".join(lines) + "\n"})
     return report

@@ -72,26 +72,6 @@ from ._schema import (
 )
 from .errors import GeometryError, ParseError
 
-COCO_17_JOINTS = (
-    "nose",
-    "left_eye",
-    "right_eye",
-    "left_ear",
-    "right_ear",
-    "left_shoulder",
-    "right_shoulder",
-    "left_elbow",
-    "right_elbow",
-    "left_wrist",
-    "right_wrist",
-    "left_hip",
-    "right_hip",
-    "left_knee",
-    "right_knee",
-    "left_ankle",
-    "right_ankle",
-)
-
 # frame indices and instance ids are stored as int64
 _INDEX_MAX = 2**63 - 1
 

@@ -147,7 +147,8 @@ def residual(
     """Sum of squared distances ||fixed_i - tr(moving_i)||^2 over usable pairs.
 
     Zero exactly when the transform aligns every usable correspondence.
-    An empty usable set gives 0.0.
+    An empty usable set gives 0.0.  Raises :class:`GeometryError` when the
+    sum overflows the float range.
     """
     if len(fixed) != len(moving):
         raise ShapeError(
@@ -156,8 +157,13 @@ def residual(
     usable = fixed.mask & moving.mask
     if not usable.any():
         return 0.0
-    diff = fixed.points[usable] - tr.apply(moving.points[usable])
-    return float((diff * diff).sum())
+    # overflow is reported below as a GeometryError, not as a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = fixed.points[usable] - tr.apply(moving.points[usable])
+        total = float((diff * diff).sum())
+    if not math.isfinite(total):
+        raise GeometryError("residual overflows the float range")
+    return total
 
 
 def apply_transform(tr: SimilarityTransform2D, video: PoseVideo) -> PoseVideo:

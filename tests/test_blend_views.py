@@ -1,7 +1,7 @@
 """The blend path checks each attention value once, where it enters.
 
 Parsed maps, thresholded and resized masks, mask unions, blended maps and the
-synthetic predictor's maps skip the public constructors' second check; these
+synthetic attention maps skip the public constructors' second check; these
 tests hold each of them to an independent reference, byte for byte.
 """
 
@@ -11,8 +11,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from posedit import SpatialMap, parse_attention_stack, run_blend_schedule_with_masks
-from posedit.blending import SyntheticAttentionPredictor
+from posedit import (
+    GeometryError,
+    LatentState,
+    SpatialMap,
+    parse_attention_stack,
+    run_blend_schedule_with_masks,
+)
+from posedit.blending import synthetic_attention_stack
 from oracles import grids_from_stack_doc, unroll_blend_schedule
 
 # token sets sum at most 4 maps of at most 1e300 each, so sums stay finite
@@ -79,9 +85,10 @@ def test_schedule_matches_the_unrolled_oracle_bytewise(case):
     st.integers(1, 4),
 )
 @example([0.7, -1.3], 9, 4)  # 0.5 + 0.01 * 9 + 0.25 * 2 rounds differently
-def test_attention_record_matches_the_per_map_construction(z, t, tokens):
+def test_synthetic_attention_matches_the_per_map_construction(z, t, tokens):
     z = np.array(z)
-    record = SyntheticAttentionPredictor(None, tokens).attention_record(z, t, None)
+    trajectory = [LatentState(values=z, t=t), LatentState(values=z, t=t - 1)]
+    (record,) = synthetic_attention_stack(trajectory, tokens).steps
     tiled = np.tile(np.abs(z), -(-16 // z.size))[:16].reshape(4, 4)
 
     def reference(scale):
@@ -100,10 +107,17 @@ def test_attention_record_matches_the_per_map_construction(z, t, tokens):
         assert (m.h, m.w) == (4, 4) and not m.values.flags.writeable
 
 
-def test_attention_record_refuses_a_map_that_overflows():
-    predictor = SyntheticAttentionPredictor(None, tokens=1)
-    z = np.array([6e307])  # finite at scales up to 2.0; 3.01 * 6e307 is not
-    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
-        predictor.attention_record(z, 1, None)
-    with pytest.raises(ValueError, match="finite"):
-        predictor.attention_record(np.array([np.nan]), 1, None)
+def test_synthetic_attention_has_one_record_per_step_but_the_last():
+    trajectory = [LatentState(values=[float(t)], t=t) for t in (3, 2, 1, 0)]
+    stack = synthetic_attention_stack(trajectory, tokens=2)
+    assert [r.step for r in stack.steps] == [3, 2, 1]
+    assert stack.tokens == 2
+    assert [float(r.inversion_self.values[0, 0]) for r in stack.steps] == [6.0, 4.0, 2.0]
+
+
+def test_synthetic_attention_refuses_a_map_that_overflows():
+    # finite at scales up to 2.0; 3.02 * 6e307 is not
+    trajectory = [LatentState(values=[6e307], t=2), LatentState(values=[1.0], t=1)]
+    trajectory.append(LatentState(values=[1.0], t=0))
+    with pytest.raises(GeometryError, match="^step 2: attention maps overflow"):
+        synthetic_attention_stack(trajectory, tokens=1)

@@ -3,7 +3,9 @@ import errno
 import filecmp
 import json
 import os
+import shlex
 import shutil
+import sys
 from dataclasses import fields
 
 import pytest
@@ -141,6 +143,25 @@ def test_align_overflowing_clip_exits_3(tmp_path, capsys):
     )
     assert code == 3
     assert "overflow" in err
+
+
+def test_align_overflowing_residual_exits_3(tmp_path, capsys):
+    def clip(*points):
+        return {"width": 10, "height": 10, "skeleton": ["a", "b", "c"], "frames": [
+            {"frame_index": 0, "instances": [{"instance_id": 0, "keypoints": [
+                {"x": x, "y": y, "visible": True, "confidence": 1.0} for x, y in points
+            ]}]}
+        ]}
+
+    fixed, moving = tmp_path / "fixed.json", tmp_path / "moving.json"
+    # the transform and the aligned clip are finite; squaring the misfit is not
+    fixed.write_text(json.dumps(clip((1e200, 0), (0, 7e200), (2e200, 2e200))), encoding="utf-8")
+    moving.write_text(json.dumps(clip((0, 0), (1, 0), (0, 1))), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(capsys, "align", str(fixed), str(moving), "--out-dir", str(out_dir))
+    assert code == 3
+    assert err == "error: residual overflows the float range\n"
+    assert not out_dir.exists()
 
 
 def test_align_missing_out_dir_exits_3(capsys):
@@ -389,6 +410,20 @@ def test_malformed_embedder_command_exits_2(tmp_path, capsys):
     assert not os.path.exists(tmp_path / "out")
 
 
+def test_edit_embedder_output_that_is_not_utf8_exits_3(tmp_path, capsys):
+    embedder = [sys.executable, "-c", "import sys; sys.stdout.buffer.write(b'\\xff\\xfe')"]
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"embedder_command": shlex.join(embedder)}), encoding="utf-8")
+    argv = edit_flags("e2e_girl_dance", tmp_path / "out")
+    i = argv.index("--query-embedding")
+    del argv[i : i + 2]
+    code, out, err = run_cli(capsys, *argv, "--config", str(cfg_path))
+    assert code == 3
+    assert err.startswith("error: embedder command output is not UTF-8: ")
+    assert err.count("\n") == 1
+    assert not os.path.exists(tmp_path / "out")
+
+
 def test_edit_leaves_a_bystander_without_visible_keypoints_unmatched(tmp_path, capsys):
     bundle = copy_bundle(tmp_path, "e2e_duo_wave")
     source = bundle / "source.json"
@@ -615,6 +650,21 @@ def test_ddim_demo_bad_config_exits_2(tmp_path, capsys, config, message):
     assert code == 2
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
+
+
+def test_ddim_demo_overflowing_latent_exits_3(tmp_path, capsys):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(
+        json.dumps({"latent_dim": 2048, "ddim_steps": 1000, "beta_start": 0.3, "beta_end": 0.5}),
+        encoding="utf-8",
+    )
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(
+        capsys, "ddim-demo", "--config", str(cfg_path), "--out-dir", str(out_dir)
+    )
+    assert code == 3
+    assert err == "error: step 869 -> 870: latent values overflow the float range\n"
+    assert not out_dir.exists()
 
 
 # --- metrics ----------------------------------------------------------------------

@@ -228,7 +228,16 @@ def test_step_writer_matches_the_json_encoder(records, doc):
         for step, mask, s_edit in records
     ]
     want = json.dumps({**doc, "steps": steps}, sort_keys=True, indent=2) + "\n"
-    assert pipeline._dump_steps(doc, records) == want
+    assert pipeline._dump_steps("blended.json", doc, records) == want
+
+
+def test_dump_refuses_a_value_json_cannot_hold(tmp_path):
+    with pytest.raises(StageError, match=r"^cannot write transform\.json: Out of range float"):
+        pipeline._dump("transform.json", {"residual": float("inf")})
+    out_dir = tmp_path / "out"
+    with pytest.raises(StageError, match=r"^cannot write b\.json: "):
+        pipeline._publish(str(out_dir), {"a.json": {"x": 1.0}, "b.json": {"x": float("nan")}})
+    assert not out_dir.exists()
 
 
 def test_config_reports_the_first_bad_field_in_field_order():
@@ -508,6 +517,16 @@ def test_embedder_must_print_a_parsable_embedding(tmp_path):
     )
     with pytest.raises(ParseError):
         run_edit(cfg)
+
+
+def test_embedder_output_that_is_not_utf8_is_a_stage_error(tmp_path):
+    script = embedder_script(tmp_path, "import sys\nsys.stdout.buffer.write(b'\\xff\\xfe')\n")
+    cfg = bundle_config(
+        "e2e_girl_dance", tmp_path / "out", query_embedding=None, embedder_command=script
+    )
+    with pytest.raises(StageError, match="embedder command output is not UTF-8"):
+        run_edit(cfg)
+    assert not os.path.exists(tmp_path / "out")
 
 
 def test_missing_embedder_and_embedding_is_a_stage_error(tmp_path):

@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 
 from posedit import pose_model
 from posedit import (
-    COCO_17_JOINTS,
     Assignment,
     GeometryError,
     ParseError,
@@ -413,7 +412,7 @@ def test_out_of_frame_indices_flags_escaped_keypoints():
     assert (0, 0, 0) in flagged
     assert isinstance(flagged, tuple)
     for _, _, joint in flagged:
-        assert 0 <= joint < len(COCO_17_JOINTS)
+        assert 0 <= joint < len(video.skeleton)
 
 
 def test_out_of_frame_ignores_invisible_points():

@@ -151,6 +151,14 @@ def test_length_mismatch_is_a_shape_error():
         residual(tr, a, b)
 
 
+def test_residual_refuses_a_sum_that_overflows():
+    fixed = np.array([[1e200, 0.0], [0.0, 7e200], [2e200, 2e200]])
+    moving = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    tr = solve_similarity(kps(fixed), kps(moving))  # finite: scale near 1e200
+    with pytest.raises(GeometryError, match="residual overflows the float range"):
+        residual(tr, kps(fixed), kps(moving))
+
+
 def test_empty_usable_set_has_zero_residual():
     pts = np.array([[1.0, 2.0], [3.0, 4.0]])
     none = [False, False]
