@@ -97,16 +97,6 @@ class LatentState:
     values: np.ndarray
     t: int
 
-    @classmethod
-    def _view(cls, values: np.ndarray, t: int) -> LatentState:
-        """A state over ``values``, a fresh flat float64 array its maker has
-        already checked finite: the public constructor would check it again."""
-        z = cls.__new__(cls)
-        values.setflags(write=False)
-        object.__setattr__(z, "values", values)
-        object.__setattr__(z, "t", t)
-        return z
-
     def __post_init__(self):
         arr = np.array(self.values, dtype=np.float64, copy=True)
         if arr.ndim != 1:
@@ -140,11 +130,12 @@ def _move(z: LatentState, eps, sched: DdimSchedule, t_to: int) -> LatentState:
     with np.errstate(over="ignore", invalid="ignore"):
         scaled = (z.values - math.sqrt(1.0 - a_from) * eps) / math.sqrt(a_from)
         values = math.sqrt(a_to) * scaled + math.sqrt(1.0 - a_to) * eps
-    if not np.isfinite(values).all():
+    try:
+        return LatentState(values=values, t=t_to)
+    except ValueError as exc:
         raise GeometryError(
             f"step {z.t} -> {t_to}: latent values overflow the float range"
-        )
-    return LatentState._view(values, t_to)
+        ) from exc
 
 
 def ddim_denoise_step(z_t: LatentState, eps, sched: DdimSchedule) -> LatentState:

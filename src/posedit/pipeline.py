@@ -159,17 +159,12 @@ def _named_by_manifest(manifest: str) -> set[str]:
     }
 
 
-def _publish(out_dir: str, files: dict) -> list[str]:
-    """Write one run's ``{name: output}`` files, then ``manifest.json`` naming
-    them; return the sorted names.  A text output is written as it is, any
-    other as JSON by :func:`_dump`.  An older manifest goes first, together
+def _publish(out_dir: str, files: dict[str, str]) -> list[str]:
+    """Write one run's ``{name: text}`` outputs, then ``manifest.json`` naming
+    them; return the sorted names.  An older manifest goes first, together
     with the files it names that this run does not write: the files a
     ``manifest.json`` names always come from one complete run, and a rerun
     leaves none of the previous run's outputs behind."""
-    texts = {
-        name: out if isinstance(out, str) else _dump(name, out)
-        for name, out in files.items()
-    }
     manifest = os.path.join(out_dir, "manifest.json")
     stale = sorted(_named_by_manifest(manifest) - set(files))
     try:
@@ -181,7 +176,7 @@ def _publish(out_dir: str, files: dict) -> list[str]:
                 os.remove(path)
     except OSError as exc:
         raise StageError(f"cannot write {exc.filename}: {exc}") from exc
-    names = sorted(_write(out_dir, name, text) for name, text in texts.items())
+    names = sorted(_write(out_dir, name, text) for name, text in files.items())
     _write(out_dir, "manifest.json", _dump("manifest.json", {"files": names}))
     return names
 
@@ -225,7 +220,7 @@ _STEP = """\
 _ITEMS = ",\n          "
 
 
-def _dump_steps(name: str, doc: dict, records) -> str:
+def _dump_steps(doc: dict, records) -> str:
     """``_dump`` of ``doc`` plus a ``"steps"`` array of a blend schedule's
     ``(step, mask, s_edit)`` records, each rendered by ``_STEP`` (a schedule
     is never empty, nor are its grids)."""
@@ -242,7 +237,7 @@ def _dump_steps(name: str, doc: dict, records) -> str:
         )
         for step, mask, s_edit in records
     )
-    head = _dump(name, {**doc, "steps": []})
+    head = _dump("steps document", {**doc, "steps": []})
     return head.replace('"steps": []', f'"steps": [\n{steps}\n  ]', 1)
 
 
@@ -276,10 +271,13 @@ def run_align(config: PipelineConfig, fixed_path: str, moving_path: str) -> dict
     names = _publish(
         out_dir,
         {
-            "transform.json": {
-                "transform": _transform_doc(tr),
-                "residual": residual(tr, fixed_set, moving_set),
-            },
+            "transform.json": _dump(
+                "transform.json",
+                {
+                    "transform": _transform_doc(tr),
+                    "residual": residual(tr, fixed_set, moving_set),
+                },
+            ),
             "aligned.json": serialize_pose_video(aligned),
         },
     )
@@ -306,7 +304,9 @@ def run_retrieve(config: PipelineConfig) -> dict:
         }
         for i, (entry_id, score) in enumerate(ranked)
     ]
-    names = _publish(out_dir, {"retrieval.json": {"ranking": ranking}})
+    names = _publish(
+        out_dir, {"retrieval.json": _dump("retrieval.json", {"ranking": ranking})}
+    )
     return {"ranking": ranking, "outputs": names}
 
 
@@ -423,7 +423,7 @@ def run_edit(config: PipelineConfig) -> dict:
     }
     if not assignment.pairs:
         report["note"] = "no individuals matched"
-    files["report.json"] = report
+    files["report.json"] = _dump("report.json", report)
     _publish(out_dir, files)
     return report
 
@@ -445,7 +445,7 @@ def run_blend_demo(config: PipelineConfig) -> dict:
         "tokens": list(config.tokens),
         "union_initial_mask": config.union_initial_mask,
     }
-    names = _publish(out_dir, {"blended.json": _dump_steps("blended.json", doc, records)})
+    names = _publish(out_dir, {"blended.json": _dump_steps(doc, records)})
     return {"steps": len(records), "outputs": names}
 
 
@@ -503,9 +503,9 @@ def run_ddim_demo(config: PipelineConfig) -> dict:
     names = _publish(
         out_dir,
         {
-            "schedule.json": schedule,
-            "round_trip.json": round_trip,
-            "blend_log.json": _dump_steps("blend_log.json", {}, blended),
+            "schedule.json": _dump("schedule.json", schedule),
+            "round_trip.json": _dump("round_trip.json", round_trip),
+            "blend_log.json": _dump_steps({}, blended),
         },
     )
     return {"max_abs_error": round_trip_error, "outputs": names}
@@ -571,5 +571,11 @@ def run_metrics(config: PipelineConfig) -> dict:
     if has_gt:
         lines.append(f"gt_con   {aggregates['gt_con']:.6f}")
 
-    _publish(out_dir, {"report.json": report, "report.txt": "\n".join(lines) + "\n"})
+    _publish(
+        out_dir,
+        {
+            "report.json": _dump("report.json", report),
+            "report.txt": "\n".join(lines) + "\n",
+        },
+    )
     return report
