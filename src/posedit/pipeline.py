@@ -15,6 +15,7 @@ which keeps real models pluggable without this package importing any.
 from __future__ import annotations
 
 import contextlib
+import io
 import json
 import os
 import shlex
@@ -56,7 +57,16 @@ from .procrustes import (
     residual,
     solve_similarity,
 )
-from .retrieval import build_index, parse_db_manifest, parse_embedding, query
+from .retrieval import (
+    PoseDatabase,
+    build_index,
+    load_index,
+    parse_db_manifest,
+    parse_embedding,
+    query,
+    save_index,
+    sha256_hex,
+)
 
 
 @dataclass(frozen=True)
@@ -109,6 +119,44 @@ def _read(path: str) -> str:
             return fh.read()
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise StageError(f"cannot read {path}: {exc}") from exc
+
+
+def _cache_dir() -> str | None:
+    """Where compiled databases are kept: ``$XDG_CACHE_HOME/posedit/db``, or
+    ``~/.cache/posedit/db`` when that is unset or not absolute; None when
+    there is no absolute home either."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+    return os.path.join(base, "posedit", "db") if os.path.isabs(base) else None
+
+
+def _database(path: str) -> PoseDatabase:
+    """The database the manifest at ``path`` holds.
+
+    A manifest whose bytes were compiled before is loaded from the index
+    cache under their sha256; any other is decoded as :func:`_read` decodes,
+    parsed and indexed, and a database that builds is stored for the next
+    run.  Either way the database, and so every output, is the same.
+    """
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        raise StageError(f"cannot read {path}: {exc}") from exc
+    cache = _cache_dir()
+    key = sha256_hex(data)
+    db = load_index(cache, key) if cache else None
+    if db is None:
+        try:  # the decoding open(path, "r", encoding="utf-8") does
+            with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh:
+                text = fh.read()
+        except ValueError as exc:
+            raise StageError(f"cannot read {path}: {exc}") from exc
+        db = build_index(parse_db_manifest(text))
+        if cache:
+            save_index(db, cache, key)
+    return db
 
 
 def _write(out_dir: str, name: str, text: str) -> str:
@@ -289,8 +337,7 @@ def run_retrieve(config: PipelineConfig) -> dict:
     out_dir = _needed(config.out_dir, "--out-dir")
     db_path = _needed(config.db, "--db")
     q_path = _needed(config.query_embedding, "--query-embedding")
-    entries = parse_db_manifest(_read(db_path))
-    db = build_index(entries)
+    db = _database(db_path)
     q = parse_embedding(_read(q_path))
     ranked = query(db, q, min(config.top_k, len(db)))
     by_id = {e.entry_id: e for e in db.entries}
@@ -334,9 +381,10 @@ def _embed_answer(config: PipelineConfig, answer: AnswerRecord):
     except UnicodeDecodeError as exc:
         raise StageError(f"embedder command output is not UTF-8: {exc}") from exc
     if proc.returncode != 0:
-        raise StageError(
-            f"embedder command exited with {proc.returncode}: {proc.stderr.strip()}"
-        )
+        # the last line a traceback or a message ends with, so the error stays one line
+        last = next((line.strip() for line in reversed(proc.stderr.splitlines())
+                     if line.strip()), "")
+        raise StageError(f"embedder command exited with {proc.returncode}: {last}")
     return parse_embedding(proc.stdout)
 
 
@@ -351,8 +399,7 @@ def run_edit(config: PipelineConfig) -> dict:
     dset = parse_detections(_read(_needed(config.detections, "--detections")))
     answer = parse_answer(_read(_needed(config.answer, "--answer")))
     db_path = _needed(config.db, "--db")
-    entries = parse_db_manifest(_read(db_path))
-    db = build_index(entries)
+    db = _database(db_path)
     q = _embed_answer(config, answer)
 
     if not len(source.frame_index):

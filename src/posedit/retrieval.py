@@ -11,12 +11,19 @@ exactly those of scoring every entry with :func:`cosine`.  Databases or
 queries with a norm outside the range the bound covers are scored entry by
 entry.
 
+:func:`save_index` stores a built database as a binary matrix plus a small
+document, and :func:`load_index` loads it back after checking it, so a
+manifest need be parsed only once.
+
 Embeddings arrive from files; this module never computes one.
 """
 
 from __future__ import annotations
 
+import contextlib
+import json
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,10 +42,11 @@ _NORM_MAX = 2.0**400
 class EmbeddingVector:
     """A nonempty vector of finite floats.
 
-    ``values`` is a tuple, except in the entries :func:`parse_db_manifest`
-    returns: each keeps its validated row as the list it was parsed into,
-    which nothing writes to.  Equality and hashing go by the values either
-    way.
+    ``values`` is a tuple, except in database entries: those
+    :func:`parse_db_manifest` returns keep each validated row as the list it
+    was parsed into, and those of a database :func:`load_index` returns hold
+    a read-only row of its matrix.  Nothing writes to either.  Equality and
+    hashing go by the values in every case.
     """
 
     values: tuple[float, ...]
@@ -91,7 +99,12 @@ class PoseDbEntry:
 class PoseDatabase:
     """Entries in tie-break order, with what :func:`build_index` derives from
     them: ``matrix``, the (N, D) float64 embeddings, and ``norms``, their
-    approximate row norms; both read-only."""
+    approximate row norms; both read-only.
+
+    ``matrix`` holds the parsed floats exactly, so it is what :func:`query`
+    scores from, and what :func:`save_index` stores; a database
+    :func:`load_index` returns is equal to the one that was saved, matrix and
+    norms included, bit for bit."""
 
     entries: tuple[PoseDbEntry, ...]
     dim: int
@@ -166,12 +179,19 @@ def _index(entries, dim) -> PoseDatabase:
     """The database over ``entries`` of one dimension ``dim``; DatabaseError
     for the first entry :func:`cosine` could not normalise."""
     matrix = np.array([e.embedding.values for e in entries], dtype=np.float64)
+    return _frozen(entries, dim, matrix)
+
+
+def _frozen(entries, dim, matrix) -> PoseDatabase:
+    """The database of ``entries`` over ``matrix``, their (N, dim) float64
+    embeddings, made read-only; DatabaseError for the first row
+    :func:`cosine` could not normalise."""
     with np.errstate(over="ignore"):  # an overflowing row gets norm inf
         norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
     # rows outside the covered range (zero and overflowing ones among them)
     # are checked with cosine's own norm
     for i in np.flatnonzero(~((norms >= _NORM_MIN) & (norms <= _NORM_MAX))):
-        _norm(entries[i].embedding.values, f"entry {entries[i].entry_id!r} embedding")
+        _norm(matrix[i].tolist(), f"entry {entries[i].entry_id!r} embedding")
     matrix.setflags(write=False)
     norms.setflags(write=False)
     return PoseDatabase(entries=entries, dim=dim, matrix=matrix, norms=norms)
@@ -181,8 +201,10 @@ def query(db: PoseDatabase, q: EmbeddingVector, k: int) -> list[tuple[str, float
     """Top-k entries by descending :func:`cosine` score against ``q``.
 
     Scores are reported at full precision and equal ``cosine(entry, q)`` bit
-    for bit.  Equal scores keep database insertion order (stable sort on the
-    negated score).
+    for bit: each candidate is rescored with :func:`cosine` on its row of
+    ``db.matrix`` as a list, which holds the entry's floats exactly, so a
+    parsed database and one loaded by :func:`load_index` score alike.  Equal
+    scores keep database insertion order (stable sort on the negated score).
     """
     if q.dim != db.dim:
         raise DatabaseError(f"query dim {q.dim} does not match database dim {db.dim}")
@@ -191,7 +213,10 @@ def query(db: PoseDatabase, q: EmbeddingVector, k: int) -> list[tuple[str, float
         raise DatabaseError(f"k must be in [1, {len(db)}], got {k}")
 
     scored = sorted(
-        ((cosine(db.entries[i].embedding, q), i) for i in _candidates(db, q, nq, k)),
+        (
+            (cosine(EmbeddingVector._view(db.matrix[i].tolist()), q), i)
+            for i in _candidates(db, q, nq, k)
+        ),
         key=lambda pair: -pair[0],
     )
     return [(db.entries[i].entry_id, score) for score, i in scored[:k]]
@@ -249,6 +274,118 @@ def _candidates(db: PoseDatabase, q: EmbeddingVector, nq: float, k: int):
     g = (db.dim + 2) * _UNIT_ROUNDOFF / (1.0 - (db.dim + 2) * _UNIT_ROUNDOFF)
     eps = 10.0 * g
     return np.flatnonzero(approx >= a_k - 2.0 * eps)
+
+
+# --- compiled index cache ------------------------------------------------------
+#
+# A database is stored under a key as two files: ``<key>.npy``, its (N, D)
+# float64 C-order matrix, and ``<key>.json``, the entry ids, labels and
+# verbatim pose-video paths in entry order, the dim, the sha256 of the matrix
+# bytes, and a sha256 over the key and those fields, so a document damaged,
+# edited or copied from another key is refused.
+
+_INDEX_FIELDS = {"dim", "ids", "labels", "matrix_sha256", "paths", "sha256"}
+
+
+def sha256_hex(data) -> str:
+    """The sha256 of a bytes-like ``data``, as hex."""
+    import hashlib  # on first use: it would add ~5 ms to `import posedit.cli`
+
+    return hashlib.sha256(data).hexdigest()
+
+
+def save_index(db: PoseDatabase, directory: str, key: str) -> None:
+    """Store ``db`` under ``key`` in ``directory``, on a best-effort basis:
+    an OSError is ignored.  Each file is written to a temp file and renamed
+    into place, the ``.json`` last, so no reader sees a half-written file."""
+    doc = {
+        "dim": db.dim,
+        "ids": [e.entry_id for e in db.entries],
+        "labels": [e.label for e in db.entries],
+        "matrix_sha256": sha256_hex(db.matrix),
+        "paths": [e.pose_video_path for e in db.entries],
+    }
+    doc["sha256"] = _digest(key, doc)
+    try:
+        os.makedirs(directory, exist_ok=True)
+        _replace(directory, f"{key}.npy", lambda fh: np.save(fh, db.matrix, allow_pickle=False))
+        _replace(directory, f"{key}.json", lambda fh: fh.write(json.dumps(doc).encode("ascii")))
+    except OSError:
+        pass
+
+
+def _digest(key: str, doc: dict) -> str:
+    """The sha256 binding ``key`` and every field of ``doc`` but ``sha256``."""
+    fields = {k: v for k, v in doc.items() if k != "sha256"}
+    return sha256_hex(json.dumps([key, fields], sort_keys=True).encode("ascii"))
+
+
+def _replace(directory: str, name: str, write) -> None:
+    """Call ``write`` on a temp file in ``directory``, then rename it to ``name``."""
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            write(fh)
+        os.replace(tmp, os.path.join(directory, name))
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
+def load_index(directory: str, key: str) -> PoseDatabase | None:
+    """The database :func:`save_index` stored under ``key`` in ``directory``,
+    or None when there is none or it fails a check.
+
+    The document must carry its own digest.  The matrix must be float64,
+    C-order, of the stored shape and hash, and finite, and every row must
+    pass :func:`build_index`'s norm rule; ids, labels and paths must be
+    nonempty strings and the ids unique.  Entries hold read-only views of the
+    matrix rows as their embeddings.
+    """
+    try:
+        with open(os.path.join(directory, f"{key}.json"), "rb") as fh:
+            doc = json.loads(fh.read())
+        with open(os.path.join(directory, f"{key}.npy"), "rb") as fh:
+            matrix = np.load(fh, allow_pickle=False)
+    except Exception:  # a missing or damaged file fails in many ways; all are misses
+        return None
+    if not (
+        isinstance(doc, dict)
+        and doc.keys() == _INDEX_FIELDS
+        and doc["sha256"] == _digest(key, doc)
+    ):
+        return None
+    ids, labels, paths, dim = doc["ids"], doc["labels"], doc["paths"], doc["dim"]
+    columns = (ids, labels, paths)
+    if not (
+        all(type(column) is list for column in columns)
+        and 0 < len(ids) == len(labels) == len(paths)
+        and all(type(s) is str and s for column in columns for s in column)
+        and len(set(ids)) == len(ids)
+        and type(dim) is int
+        and type(matrix) is np.ndarray
+        and matrix.dtype == np.float64
+        and matrix.shape == (len(ids), dim)
+        and matrix.flags.c_contiguous
+        and sha256_hex(matrix) == doc["matrix_sha256"]
+        and np.isfinite(matrix).all()
+    ):
+        return None
+    matrix.setflags(write=False)  # first: the row views inherit it
+    entries = tuple(
+        PoseDbEntry(
+            entry_id=entry_id,
+            label=label,
+            embedding=EmbeddingVector._view(row),
+            pose_video_path=path,
+        )
+        for entry_id, label, path, row in zip(ids, labels, paths, matrix)
+    )
+    try:
+        return _frozen(entries, dim, matrix)
+    except DatabaseError:
+        return None
 
 
 # --- manifest parsing ----------------------------------------------------------

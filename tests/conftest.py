@@ -19,6 +19,15 @@ settings.load_profile("suite")
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 
 
+@pytest.fixture(autouse=True)
+def isolated_cache(tmp_path, monkeypatch):
+    """Each test gets its own, initially empty, index cache, and none writes
+    under the user's home."""
+    cache = tmp_path / "xdg-cache"
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+    return cache
+
+
 @pytest.fixture
 def fixtures_dir() -> str:
     return FIXTURES

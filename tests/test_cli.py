@@ -410,17 +410,35 @@ def test_malformed_embedder_command_exits_2(tmp_path, capsys):
     assert not os.path.exists(tmp_path / "out")
 
 
-def test_edit_embedder_output_that_is_not_utf8_exits_3(tmp_path, capsys):
-    embedder = [sys.executable, "-c", "import sys; sys.stdout.buffer.write(b'\\xff\\xfe')"]
+def edit_with_embedder(tmp_path, capsys, program):
+    """``edit`` on the girl_dance bundle with ``python -c program`` as its
+    embedder instead of a query embedding."""
+    embedder = [sys.executable, "-c", program]
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps({"embedder_command": shlex.join(embedder)}), encoding="utf-8")
     argv = edit_flags("e2e_girl_dance", tmp_path / "out")
     i = argv.index("--query-embedding")
     del argv[i : i + 2]
-    code, out, err = run_cli(capsys, *argv, "--config", str(cfg_path))
+    return run_cli(capsys, *argv, "--config", str(cfg_path))
+
+
+def test_edit_embedder_output_that_is_not_utf8_exits_3(tmp_path, capsys):
+    code, out, err = edit_with_embedder(
+        tmp_path, capsys, "import sys; sys.stdout.buffer.write(b'\\xff\\xfe')"
+    )
     assert code == 3
     assert err.startswith("error: embedder command output is not UTF-8: ")
     assert err.count("\n") == 1
+    assert not os.path.exists(tmp_path / "out")
+
+
+def test_edit_reports_a_raising_embedder_on_one_line(tmp_path, capsys):
+    code, out, err = edit_with_embedder(tmp_path, capsys, "import json; json.loads('{')")
+    assert code == 3
+    assert err == (
+        "error: embedder command exited with 1: json.decoder.JSONDecodeError: "
+        "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)\n"
+    )
     assert not os.path.exists(tmp_path / "out")
 
 
