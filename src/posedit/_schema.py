@@ -122,11 +122,28 @@ def boolean(node, path, *keys) -> bool:
     return node
 
 
-def string(node, path, *keys, nonempty=False) -> str:
+def string(node, path, *keys, nonempty=False, text=True) -> str:
+    """A string; with ``text``, also well-formed (see :func:`well_formed`).
+    Only config values pass ``text=False``: an argv path may hold the
+    surrogate escapes of undecodable bytes, and ``open`` judges it."""
     if not isinstance(node, str) or (nonempty and not node):
         kind = "a non-empty string" if nonempty else "a string"
         raise ParseError(f"{name(path, *keys)}: expected {kind}, got {node!r}")
+    if text and not well_formed(node):
+        raise ParseError(f"{name(path, *keys)}: unpaired surrogate in {node!r}")
     return node
+
+
+def well_formed(text: str) -> bool:
+    """Whether ``text`` holds no unpaired surrogate, which JSON's ``\\ud800``
+    escapes can produce and no output encoding can write."""
+    if text.isascii():
+        return True
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def finite_floats(column: list) -> list[float] | None:

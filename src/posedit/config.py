@@ -86,7 +86,7 @@ def _tokens(value, key) -> tuple[int, ...]:
 
 
 def _path(value, key) -> str | None:
-    return None if value is None else string(value, "$", key, nonempty=True)
+    return None if value is None else string(value, "$", key, nonempty=True, text=False)
 
 
 def _command(value, key) -> str | None:

@@ -1,15 +1,11 @@
 """Action-pose database indexing and cosine-similarity retrieval.
 
 :func:`build_index` keeps the entries in order (the tie-break order) and
-stacks their embeddings into one read-only (N, D) float64 matrix with its row
-norms.  :func:`query` ranks in two passes.  One matrix-vector product gives
-every entry an approximate cosine, and a bound on how far that can be from
-the exact score (see :func:`_candidates`) picks every entry that could reach
-the top k.  Only those are rescored with :func:`cosine`, the scalar sums in
-component order, and stably sorted, so the reported scores and their order are
-exactly those of scoring every entry with :func:`cosine`.  Databases or
-queries with a norm outside the range the bound covers are scored entry by
-entry.
+stacks their embeddings into one read-only (N, D) float64 matrix, stored
+column-major, with their exact row norms.  :func:`query` scores every entry
+in one pass of :func:`_dots`, which adds the products in the order
+:func:`cosine` does, so each score equals ``cosine(entry, query)`` bit for
+bit, and stably sorts them.
 
 :func:`save_index` stores a built database as a binary matrix plus a small
 document, and :func:`load_index` loads it back after checking it, so a
@@ -28,14 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._schema import array, integer, load_json, name, obj, reals, string
+from ._schema import array, integer, load_json, name, obj, reals, string, well_formed
 from .errors import DatabaseError, GeometryError, ParseError, ShapeError
-
-_UNIT_ROUNDOFF = 2.0**-53
-# norms the prefilter's error bound covers: inside this range no product or
-# sum overflows, and underflow is negligible (see _candidates)
-_NORM_MIN = 2.0**-400
-_NORM_MAX = 2.0**400
 
 
 @dataclass(frozen=True)
@@ -45,7 +35,8 @@ class EmbeddingVector:
     ``values`` is a tuple, except in database entries: those
     :func:`parse_db_manifest` returns keep each validated row as the list it
     was parsed into, and those of a database :func:`load_index` returns hold
-    a read-only row of its matrix.  Nothing writes to either.  Equality and
+    a read-only row of its matrix.  Nothing writes to either, and nothing
+    scores them: :func:`query` scores the database matrix.  Equality and
     hashing go by the values in every case.
     """
 
@@ -98,8 +89,9 @@ class PoseDbEntry:
 @dataclass(frozen=True)
 class PoseDatabase:
     """Entries in tie-break order, with what :func:`build_index` derives from
-    them: ``matrix``, the (N, D) float64 embeddings, and ``norms``, their
-    approximate row norms; both read-only.
+    them: ``matrix``, the (N, D) float64 embeddings in column-major (Fortran)
+    order, and ``norms``, their row norms, each the exact norm
+    :func:`cosine` takes of its row; both read-only.
 
     ``matrix`` holds the parsed floats exactly, so it is what :func:`query`
     scores from, and what :func:`save_index` stores; a database
@@ -118,14 +110,42 @@ class PoseDatabase:
         return len(self.entries)
 
 
+def _dot(xs, ys) -> float:
+    """The one summation rule: start at ``0.0`` and add the products
+    ``x * y`` left to right.  :func:`_dots` applies it to every row of a
+    matrix at once, with the same IEEE operations in the same order per row,
+    so both give the same float (a signed zero, inf or NaN included).  This
+    is what CPython 3.11's ``sum(x * y ...)`` does, its int ``0`` start
+    making the first step ``0.0 + p0``; unlike 3.12's compensated ``sum``,
+    it is left to right on every interpreter.
+
+    :func:`_dots` costs one numpy operation per column, so it is slower than
+    a matrix product only for very few, very wide rows; a column-major
+    matrix gives it contiguous columns.
+    """
+    total = 0.0
+    for x, y in zip(xs, ys):
+        total += x * y
+    return total
+
+
+def _dots(matrix, ys) -> np.ndarray:
+    """:func:`_dot` of each row of ``matrix`` with ``ys``."""
+    total = np.zeros(len(matrix))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, y in enumerate(ys):
+            total += matrix[:, j] * y
+    return total
+
+
 def cosine(a: EmbeddingVector, b: EmbeddingVector) -> float:
-    """dot(a, b) / (|a| * |b|), each sum taken by the builtin ``sum`` in
-    component order; defined only for nonzero vectors whose norm product is
-    a finite float."""
+    """dot(a, b) / (|a| * |b|), each sum taken by :func:`_dot` in component
+    order; defined only for nonzero vectors whose norm product is a finite
+    float."""
     if a.dim != b.dim:
         raise ShapeError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    na = math.sqrt(sum(v * v for v in a.values))
-    nb = math.sqrt(sum(v * v for v in b.values))
+    na = math.sqrt(_dot(a.values, a.values))
+    nb = math.sqrt(_dot(b.values, b.values))
     if na == 0.0 or nb == 0.0:
         raise GeometryError("cosine is undefined for a zero vector")
     den = na * nb
@@ -133,13 +153,13 @@ def cosine(a: EmbeddingVector, b: EmbeddingVector) -> float:
         raise GeometryError(
             f"cosine is undefined: the norm product {na!r} * {nb!r} overflows"
         )
-    return sum(x * y for x, y in zip(a.values, b.values)) / den
+    return _dot(a.values, b.values) / den
 
 
 def _norm(values, what: str) -> float:
     """The norm :func:`cosine` takes of ``values``; DatabaseError naming
     ``what`` when its sum of squares is 0 or overflows."""
-    squares = sum(v * v for v in values)
+    squares = _dot(values, values)
     if squares == 0.0:
         if any(values):
             raise DatabaseError(f"{what} has a squared norm that underflows to 0")
@@ -154,8 +174,7 @@ def build_index(entries) -> PoseDatabase:
 
     Entry order is preserved; it defines the tie-break order for queries.
     An entry :func:`cosine` could not score (an embedding whose sum of
-    squares is 0 or overflows) is refused, so no query depends on which
-    entries it rescores.
+    squares is 0 or overflows) is refused.
     """
     entries = tuple(entries)
     if not entries:
@@ -178,20 +197,18 @@ def build_index(entries) -> PoseDatabase:
 def _index(entries, dim) -> PoseDatabase:
     """The database over ``entries`` of one dimension ``dim``; DatabaseError
     for the first entry :func:`cosine` could not normalise."""
-    matrix = np.array([e.embedding.values for e in entries], dtype=np.float64)
+    matrix = np.array([e.embedding.values for e in entries], dtype=np.float64, order="F")
     return _frozen(entries, dim, matrix)
 
 
 def _frozen(entries, dim, matrix) -> PoseDatabase:
     """The database of ``entries`` over ``matrix``, their (N, dim) float64
-    embeddings, made read-only; DatabaseError for the first row
+    column-major embeddings, made read-only; DatabaseError for the first row
     :func:`cosine` could not normalise."""
-    with np.errstate(over="ignore"):  # an overflowing row gets norm inf
-        norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
-    # rows outside the covered range (zero and overflowing ones among them)
-    # are checked with cosine's own norm
-    for i in np.flatnonzero(~((norms >= _NORM_MIN) & (norms <= _NORM_MAX))):
+    squares = _dots(matrix, matrix.T)
+    for i in np.flatnonzero((squares == 0.0) | (squares == np.inf)):
         _norm(matrix[i].tolist(), f"entry {entries[i].entry_id!r} embedding")
+    norms = np.sqrt(squares)
     matrix.setflags(write=False)
     norms.setflags(write=False)
     return PoseDatabase(entries=entries, dim=dim, matrix=matrix, norms=norms)
@@ -200,86 +217,28 @@ def _frozen(entries, dim, matrix) -> PoseDatabase:
 def query(db: PoseDatabase, q: EmbeddingVector, k: int) -> list[tuple[str, float]]:
     """Top-k entries by descending :func:`cosine` score against ``q``.
 
-    Scores are reported at full precision and equal ``cosine(entry, q)`` bit
-    for bit: each candidate is rescored with :func:`cosine` on its row of
-    ``db.matrix`` as a list, which holds the entry's floats exactly, so a
-    parsed database and one loaded by :func:`load_index` score alike.  Equal
-    scores keep database insertion order (stable sort on the negated score).
+    Every entry is scored, in one pass: :func:`_dots` of ``db.matrix`` with
+    ``q`` over the exact norm products, so each score equals
+    ``cosine(entry, q)`` bit for bit.  Scores are reported at full
+    precision.  Equal scores keep database insertion order (stable sort on
+    the negated score).
     """
     if q.dim != db.dim:
         raise DatabaseError(f"query dim {q.dim} does not match database dim {db.dim}")
     nq = _norm(q.values, "query embedding")
     if not 1 <= k <= len(db):
         raise DatabaseError(f"k must be in [1, {len(db)}], got {k}")
-
-    scored = sorted(
-        (
-            (cosine(EmbeddingVector._view(db.matrix[i].tolist()), q), i)
-            for i in _candidates(db, q, nq, k)
-        ),
-        key=lambda pair: -pair[0],
-    )
-    return [(db.entries[i].entry_id, score) for score, i in scored[:k]]
-
-
-def _candidates(db: PoseDatabase, q: EmbeddingVector, nq: float, k: int):
-    """Ascending indices of every entry whose exact score can reach the k-th
-    place: those whose approximate score is within 2ε of a_k, the k-th
-    largest approximate score.
-
-    Why none is missed.  Let u = 2**-53, D the dimension, γ_n = nu / (1 - nu),
-    g = γ_{D+2}, and c = x·y / (‖x‖‖y‖) the real cosine of entry x and query y.
-    Both routes compute dot / (n_x * n_y): the approximate one with BLAS
-    (``matrix @ q``) and numpy's row norms, the exact one with :func:`cosine`.
-
-    1. A dot product summed in any order, with or without fused multiply-add,
-       is x·y + e with |e| <= γ_D Σ|x_i y_i| <= γ_D ‖x‖‖y‖ (Higham, *Accuracy
-       and Stability of Numerical Algorithms*, §3.1, then Cauchy-Schwarz).
-       Python 3.12's compensated float ``sum`` has a smaller bound.
-    2. Every norm lies in [_NORM_MIN, _NORM_MAX], to within the factor 1 ± g
-       of step 3, so nothing overflows: each partial sum is at most
-       (1 + g)‖x‖‖y‖ <= 2**801.  Each product's underflow error is at most
-       2**-1075 (Higham §2.1), in all at most D 2**-1075 <= D 2**-275 ‖x‖‖y‖,
-       below u‖x‖‖y‖ for D < 2**222.  So the dot's error is at most
-       γ_{D+1} ‖x‖‖y‖ <= g ‖x‖‖y‖.
-    3. A sum of squares has one sign, so its relative error is at most γ_D,
-       plus u for underflow; the root adds u.  A computed norm is ‖x‖(1 + α)
-       with |α| <= g.
-    4. The product of the norms and the division round twice more, so a
-       computed score is (c + η)(1 + ρ) with |η| <= g and
-       |ρ| <= (1 + u) / ((1 - g)**2 (1 - u)) - 1 <= 3g while g <= 0.01
-       (D below about 4e13).  As |c| <= 1, it is within g + 3g(1 + g) <= 4.03g
-       of c, and the two routes differ by at most 8.06g.  ε = 10g; the slack
-       covers the rounding of the threshold a_k - 2ε itself.
-
-    The k entries with the largest approximate scores have exact scores of at
-    least a_k - ε, so the k-th largest exact score is at least that too.  An
-    entry in the exact top k, or tied with its k-th place, scores at least
-    a_k - ε exactly and so at least a_k - 2ε approximately.  When a norm lies
-    outside the covered range or an approximate score is not finite, every
-    entry is a candidate.
-    """
-    everything = range(len(db))
-    if not (
-        _NORM_MIN <= nq <= _NORM_MAX
-        and _NORM_MIN <= db.norms.min()
-        and db.norms.max() <= _NORM_MAX
-    ):
-        return everything
-    approx = (db.matrix @ np.array(q.values)) / (db.norms * nq)
-    if not np.isfinite(approx).all():
-        return everything
-    n = len(approx)
-    a_k = np.partition(approx, n - k)[n - k]
-    g = (db.dim + 2) * _UNIT_ROUNDOFF / (1.0 - (db.dim + 2) * _UNIT_ROUNDOFF)
-    eps = 10.0 * g
-    return np.flatnonzero(approx >= a_k - 2.0 * eps)
+    # a norm whose square passed is at most sqrt(max float) and at least the
+    # root of the least subnormal, so no norm product overflows or is 0
+    scores = _dots(db.matrix, q.values) / (db.norms * nq)
+    order = np.argsort(-scores, kind="stable")[:k].tolist()
+    return list(zip([db.entries[i].entry_id for i in order], scores[order].tolist()))
 
 
 # --- compiled index cache ------------------------------------------------------
 #
 # A database is stored under a key as two files: ``<key>.npy``, its (N, D)
-# float64 C-order matrix, and ``<key>.json``, the entry ids, labels and
+# float64 column-major matrix, and ``<key>.json``, the entry ids, labels and
 # verbatim pose-video paths in entry order, the dim, the sha256 of the matrix
 # bytes, and a sha256 over the key and those fields, so a document damaged,
 # edited or copied from another key is refused.
@@ -302,7 +261,7 @@ def save_index(db: PoseDatabase, directory: str, key: str) -> None:
         "dim": db.dim,
         "ids": [e.entry_id for e in db.entries],
         "labels": [e.label for e in db.entries],
-        "matrix_sha256": sha256_hex(db.matrix),
+        "matrix_sha256": sha256_hex(db.matrix.T),  # hashlib needs C order
         "paths": [e.pose_video_path for e in db.entries],
     }
     doc["sha256"] = _digest(key, doc)
@@ -338,10 +297,10 @@ def load_index(directory: str, key: str) -> PoseDatabase | None:
     or None when there is none or it fails a check.
 
     The document must carry its own digest.  The matrix must be float64,
-    C-order, of the stored shape and hash, and finite, and every row must
-    pass :func:`build_index`'s norm rule; ids, labels and paths must be
-    nonempty strings and the ids unique.  Entries hold read-only views of the
-    matrix rows as their embeddings.
+    column-major, of the stored shape and hash, and finite, and every row
+    must pass :func:`build_index`'s norm rule; ids, labels and paths must be
+    nonempty strings without unpaired surrogates, and the ids unique.
+    Entries hold read-only views of the matrix rows as their embeddings.
     """
     try:
         with open(os.path.join(directory, f"{key}.json"), "rb") as fh:
@@ -361,14 +320,16 @@ def load_index(directory: str, key: str) -> PoseDatabase | None:
     if not (
         all(type(column) is list for column in columns)
         and 0 < len(ids) == len(labels) == len(paths)
-        and all(type(s) is str and s for column in columns for s in column)
+        and all(
+            type(s) is str and s and well_formed(s) for column in columns for s in column
+        )
         and len(set(ids)) == len(ids)
         and type(dim) is int
         and type(matrix) is np.ndarray
         and matrix.dtype == np.float64
         and matrix.shape == (len(ids), dim)
-        and matrix.flags.c_contiguous
-        and sha256_hex(matrix) == doc["matrix_sha256"]
+        and matrix.flags.f_contiguous
+        and sha256_hex(matrix.T) == doc["matrix_sha256"]
         and np.isfinite(matrix).all()
     ):
         return None

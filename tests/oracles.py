@@ -232,9 +232,15 @@ def linear_betas(beta_start, beta_end, steps):
 
 
 def cosine_by_sums(a, b):
-    na = math.sqrt(sum(v * v for v in a))
-    nb = math.sqrt(sum(v * v for v in b))
-    return sum(x * y for x, y in zip(a, b)) / (na * nb)
+    def dot(xs, ys):
+        total = 0.0
+        for x, y in zip(xs, ys):
+            total += x * y
+        return total
+
+    na = math.sqrt(dot(a, a))
+    nb = math.sqrt(dot(b, b))
+    return dot(a, b) / (na * nb)
 
 
 def ranking_by_sort(query, embeddings, k):

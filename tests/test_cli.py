@@ -1,14 +1,18 @@
 import argparse
 import errno
 import filecmp
+import io
 import json
 import os
 import shlex
 import shutil
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
 
 import pytest
+from hypothesis import given, strategies as st
 
 from posedit import PipelineConfig
 from posedit.cli import build_parser, main
@@ -924,3 +928,100 @@ def test_edit_reruns_are_byte_identical(tmp_path, capsys):
     assert run_cli(capsys, *edit_flags("e2e_duo_wave", first))[0] == 0
     assert run_cli(capsys, *edit_flags("e2e_duo_wave", second))[0] == 0
     assert identical_trees(first, second)
+
+
+# --- any string in any document field -------------------------------------------------
+# Text fields reach stdout and report.txt as well as the JSON outputs, so a
+# string that no encoding can write (an unpaired surrogate, which JSON's
+# "\ud800" escape produces) must be refused while parsing, not while
+# publishing or printing.
+
+# half the strings well-formed, half drawn with surrogates among the characters
+ANY_TEXT = st.one_of(
+    st.text(max_size=6),
+    st.text(st.one_of(st.characters(), st.characters(categories=["Cs"])), max_size=6),
+)
+
+
+def main_with_strict_streams(argv):
+    """Run ``main`` with UTF-8 stdout and stderr that, like a real stream,
+    refuse what they cannot encode; return the exit code and both texts."""
+    out, err = (io.TextIOWrapper(io.BytesIO(), encoding="utf-8") for _ in range(2))
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    texts = []
+    for stream in (out, err):
+        stream.flush()
+        texts.append(stream.buffer.getvalue().decode("utf-8"))
+        stream.close()
+    return code, *texts
+
+
+def assert_clean_outcome(argv, out_dir):
+    code, out, err = main_with_strict_streams([*argv, "--out-dir", out_dir])
+    assert code in (0, 2), err
+    assert "Traceback" not in err
+    assert err.count("error:") <= 1 and (code == 0) == (err == "")
+    if code != 0:
+        assert not os.path.exists(out_dir)
+
+
+def write_json(directory, name, doc) -> str:
+    path = os.path.join(directory, name)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)  # ensure_ascii: a surrogate is written as \ud800
+    return path
+
+
+@given(ANY_TEXT, ANY_TEXT)
+def test_retrieve_refuses_or_writes_any_entry_id_and_label(entry_id, label):
+    with tempfile.TemporaryDirectory() as tmp:
+        db = write_json(tmp, "db.json", [{"entry_id": entry_id, "label": label,
+                                          "embedding": [1.0, 2.0],
+                                          "pose_video_path": "c.json"}])
+        q = write_json(tmp, "q.json", {"dim": 2, "values": [0.5, 1.0]})
+        argv = ["retrieve", "--db", db, "--query-embedding", q]
+        assert_clean_outcome(argv, os.path.join(tmp, "out"))
+
+
+def embedding_node(*values):
+    return {"dim": len(values), "values": list(values)}
+
+
+@given(ANY_TEXT, ANY_TEXT)
+def test_metrics_refuses_or_writes_any_case_id_and_video_id(case_id, video_id):
+    def record(vid):
+        return {"video_id": vid, "video_embedding": embedding_node(1.0, 0.0),
+                "frame_embeddings": [embedding_node(1.0, 2.0)]}
+
+    case = {"case_id": case_id, "edited": record(video_id), "source": record("source"),
+            "target_prompt_embedding": embedding_node(1.0, 0.5),
+            "source_prompt_embedding": embedding_node(0.0, 1.0)}
+    with tempfile.TemporaryDirectory() as tmp:
+        manifest = write_json(tmp, "manifest.json", [case])
+        assert_clean_outcome(["metrics", "--manifest", manifest], os.path.join(tmp, "out"))
+
+
+@given(ANY_TEXT)
+def test_edit_refuses_or_writes_any_detection_phrase(phrase):
+    doc = json.loads(read_fixture("e2e_duo_wave", "detections.json"))
+    doc["detections"][0]["phrase"] = phrase
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = edit_flags("e2e_duo_wave", os.path.join(tmp, "out"))[:-2]
+        argv[argv.index("--detections") + 1] = write_json(tmp, "detections.json", doc)
+        assert_clean_outcome(argv, os.path.join(tmp, "out"))
+
+
+@given(st.data())
+def test_align_refuses_or_writes_any_skeleton_names_and_label(data):
+    fixed = json.loads(read_fixture("align", "fixed.json"))
+    moving = json.loads(read_fixture("align", "moving.json"))
+    joints = len(fixed["skeleton"])
+    names = data.draw(st.lists(st.text(max_size=6), min_size=joints, max_size=joints))
+    names[data.draw(st.integers(min_value=0, max_value=joints - 1))] = data.draw(ANY_TEXT)
+    fixed["skeleton"] = moving["skeleton"] = names
+    moving["label"] = data.draw(ANY_TEXT)
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["align", write_json(tmp, "fixed.json", fixed),
+                write_json(tmp, "moving.json", moving)]
+        assert_clean_outcome(argv, os.path.join(tmp, "out"))

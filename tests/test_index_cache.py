@@ -21,6 +21,7 @@ from posedit.cli import main
 from posedit.retrieval import (
     PoseDatabase,
     PoseDbEntry,
+    _digest,
     build_index,
     load_index,
     parse_db_manifest,
@@ -120,8 +121,8 @@ def assert_same_in_every_cache_state(argv, tmp, offset=0):
         assert fh.read() == "x"
 
 
-# ints times a scale: rows whose norms straddle the prefilter's covered range
-# [2**-400, 2**400] at both ends, and repeated rows whose scores tie exactly
+# ints times a scale: rows with norms far from 1 at both ends, and repeated
+# rows whose scores tie exactly
 SCALES = (1.0, 2.0**-401, 2.0**398)
 
 
@@ -238,10 +239,40 @@ def test_a_loaded_database_equals_the_parsed_one(tmp_path):
     assert load_index(str(tmp_path), "other-key") is None
 
 
+def test_an_entry_in_the_old_row_major_layout_is_refused_and_rewritten(tmp_path):
+    argv = ["retrieve", "--db", fixture_path("retrieval", "db_manifest.json"),
+            "--query-embedding", fixture_path("retrieval", "query.json"), "--top-k", "3"]
+    home = tmp_path / "home"
+    cold, _ = run(argv, tmp_path / "cold", home)
+    stem = only_entry(home)
+    directory, key = os.path.split(stem)
+    # the entry as it was stored before the matrix went column-major: the
+    # same values in C order, with their hash and a valid digest
+    with open(stem + ".npy", "rb") as fh:
+        matrix = np.ascontiguousarray(np.load(fh))
+    assert matrix.shape[0] > 1 and matrix.shape[1] > 1  # so the orders differ
+    with open(stem + ".json", "rb") as fh:
+        doc = json.load(fh)
+    doc["matrix_sha256"] = sha256_hex(matrix)
+    doc["sha256"] = _digest(key, doc)
+    with open(stem + ".npy", "wb") as fh:
+        np.save(fh, matrix, allow_pickle=False)
+    with open(stem + ".json", "w", encoding="ascii") as fh:
+        json.dump(doc, fh)
+    assert load_index(directory, key) is None
+    again, parses = run(argv, tmp_path / "again", home)
+    assert again == cold
+    assert parses == 1
+    rewritten = load_index(directory, key)
+    assert rewritten is not None and rewritten.matrix.flags.f_contiguous
+    warm, parses = run(argv, tmp_path / "warm", home)
+    assert (warm, parses) == (cold, 0)
+
+
 def stored(matrix, ids=("a", "b"), labels=("x", "y")) -> PoseDatabase:
     """A database holding exactly what it is given, which build_index
-    might refuse."""
-    matrix = np.asarray(matrix)
+    might refuse, in the column-major layout save_index stores."""
+    matrix = np.asfortranarray(matrix)
     entries = [
         PoseDbEntry(entry_id=i, label=label, embedding=None, pose_video_path="c.json")
         for i, label in zip(ids, labels)
@@ -258,10 +289,11 @@ def stored(matrix, ids=("a", "b"), labels=("x", "y")) -> PoseDatabase:
         stored([[1.0, 2.0], [1e-200, 0.0]]),
         stored([[1.0, 2.0], [3.0, 4.0]], ids=("a", "a")),
         stored([[1.0, 2.0], [3.0, 4.0]], labels=("x", "")),
+        stored([[1.0, 2.0], [3.0, 4.0]], labels=("x", "wave \ud800")),
         stored(np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32)),
     ],
     ids=["nan", "zero-row", "overflowing-row", "underflowing-row", "duplicate-id",
-         "empty-label", "float32"],
+         "empty-label", "unpaired-surrogate-label", "float32"],
 )
 def test_load_index_refuses_an_intact_entry_that_breaks_a_database_rule(tmp_path, db):
     save_index(db, str(tmp_path), "k")

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -163,17 +164,20 @@ def test_build_index_names_the_first_faulty_entry():
         build_index([entry(0, (1.0, 2.0)), entry(1, (1.0,)), entry(2, (0.0, 0.0))])
 
 
-def test_index_matrix_is_read_only_rows_in_entry_order():
-    db = build_index([entry(0, (1.0, 2.0)), entry(1, (3.0, 4.0)), entry(2, (-1.0, 0.5))])
+def test_index_matrix_is_read_only_column_major_rows_in_entry_order():
+    rows = [(1.0, 2.0), (3.0, 4.0), (-1.0, 0.5)]
+    db = build_index([entry(i, row) for i, row in enumerate(rows)])
     assert db.matrix.dtype == np.float64
-    assert db.matrix.tolist() == [[1.0, 2.0], [3.0, 4.0], [-1.0, 0.5]]
-    assert db.norms.shape == (3,)
+    assert db.matrix.tolist() == [list(row) for row in rows]
+    assert db.matrix.flags.f_contiguous
+    # the exact norms cosine takes, not approximations
+    assert db.norms.tolist() == [math.sqrt(5.0), 5.0, math.sqrt(1.25)]
     assert not db.matrix.flags.writeable and not db.norms.flags.writeable
 
 
-# --- prefilter ------------------------------------------------------------------------
-# query() rescores only the entries a matrix product cannot rule out; these
-# check the result against scoring every entry with the scalar-sum oracle.
+# --- one exact pass -------------------------------------------------------------------
+# query() scores every entry with _dots, the row-wise form of cosine's _dot;
+# these check both against the scalar-sum oracle, bit for bit.
 
 
 def assert_matches_oracle(rows, q_values, k):
@@ -237,32 +241,14 @@ def test_query_keeps_exact_tie_blocks_that_straddle_the_kth_place(n, dim, seed, 
     assert_matches_oracle(rows, q_values, k)
 
 
-def count_cosine_calls(monkeypatch):
-    calls = []
-    exact = posedit.retrieval.cosine
-
-    def counted(a, b):
-        calls.append(1)
-        return exact(a, b)
-
-    monkeypatch.setattr(posedit.retrieval, "cosine", counted)
-    return calls
-
-
-def test_query_rescores_only_the_top_k_and_exact_ties(monkeypatch):
+def test_query_ranks_a_2000_by_64_database_like_the_oracle():
     rng = np.random.default_rng(2000)
     rows = rng.normal(0.0, 1.0, (2000, 64)).tolist()
     q_values = rng.normal(0.0, 1.0, 64).tolist()
-    db = build_index([entry(i, row) for i, row in enumerate(rows)])
-    order, scores = ranking_by_sort(q_values, rows, 3)
-    ties = sum(1 for s in scores if s == scores[order[-1]]) - 1
-    calls = count_cosine_calls(monkeypatch)
-    got = query(db, vec(*q_values), 3)
-    assert len(calls) <= 3 + ties
-    assert [eid for eid, _ in got] == [f"e{i}" for i in order]
+    assert_matches_oracle(rows, q_values, 3)
 
 
-def test_query_scores_every_entry_outside_the_bounded_norm_range(monkeypatch):
+def test_query_matches_the_oracle_on_norms_near_1e150_and_1e_minus_150():
     rng = np.random.default_rng(150)
     rows = rng.normal(0.0, 1.0, (30, 8)).tolist()
     for i in range(0, 30, 3):
@@ -270,12 +256,96 @@ def test_query_scores_every_entry_outside_the_bounded_norm_range(monkeypatch):
     for i in range(1, 30, 3):
         rows[i] = [1e-150 * v for v in rows[i]]
     q_values = rng.normal(0.0, 1.0, 8).tolist()
-    calls = count_cosine_calls(monkeypatch)
     assert_matches_oracle(rows, q_values, 4)
-    assert len(calls) == 30
-    calls.clear()
     assert_matches_oracle(rows[2::3], [1e150 * v for v in q_values], 2)
-    assert len(calls) == 10
+
+
+def left_to_right(products):
+    total = 0.0
+    for p in products:
+        total += p
+    return total
+
+
+def same_float(a, b):
+    """Equal as IEEE values, with the sign of zero compared and NaN
+    matching NaN."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+# signed zeros, subnormals, values whose squares underflow or overflow, and
+# values whose products overflow to inf (and so make inf - inf)
+EXTREMES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e-300,
+            1e-160, 1e154, -1e154, 1e300, -1e300, 1.7e308, -1.7e308)
+COMPONENTS = st.one_of(
+    st.sampled_from(EXTREMES),
+    st.integers(min_value=-5, max_value=5).map(float),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def matrices_and_queries(draw):
+    dim = draw(st.integers(min_value=1, max_value=6))
+    row = st.lists(COMPONENTS, min_size=dim, max_size=dim)
+    return draw(st.lists(row, min_size=1, max_size=8)), draw(row)
+
+
+@given(matrices_and_queries())
+def test_dots_equals_dot_row_by_row(case):
+    rows, ys = case
+    matrix = np.asfortranarray(np.array(rows, dtype=np.float64))
+    got = posedit.retrieval._dots(matrix, ys).tolist()
+    assert len(got) == len(rows)
+    for row, value in zip(rows, got):
+        assert same_float(value, posedit.retrieval._dot(row, ys)), (row, ys)
+        if sys.version_info < (3, 12):  # 3.12 made sum compensated
+            assert same_float(value, sum(x * y for x, y in zip(row, ys))), (row, ys)
+
+
+@st.composite
+def scaled_rows(draw):
+    """Rows of small ints times a power of two or an extreme scale, drawn
+    from a small pool so some repeat and tie exactly."""
+    dim = draw(st.integers(min_value=1, max_value=6))
+    ints = st.lists(st.integers(min_value=-3, max_value=3), min_size=dim, max_size=dim)
+    scale = st.sampled_from((1.0, 2.0, 0.5, 2.0**-520, 2.0**500, 1e-160, 1e150, 1e154))
+    row = st.one_of(
+        st.tuples(ints, scale).map(lambda pair: [k * pair[1] for k in pair[0]]),
+        st.lists(COMPONENTS, min_size=dim, max_size=dim),
+    )
+    pool = draw(st.lists(row, min_size=1, max_size=4))
+    rows = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+    return rows, draw(row), draw(st.integers(min_value=1, max_value=len(rows)))
+
+
+@given(scaled_rows())
+def test_query_equals_the_oracle_or_refuses_what_cosine_cannot_score(case):
+    rows, q_values, k = case
+    norms = [math.sqrt(left_to_right(v * v for v in row)) for row in rows]
+    entries = [entry(i, row) for i, row in enumerate(rows)]
+    if any(n == 0.0 or n == math.inf for n in norms):
+        with pytest.raises(DatabaseError, match="squared norm|zero vector"):
+            build_index(entries)
+        return
+    db = build_index(entries)
+    nq = math.sqrt(left_to_right(v * v for v in q_values))
+    if nq == 0.0 or nq == math.inf:
+        with pytest.raises(DatabaseError, match="query embedding"):
+            query(db, vec(*q_values), k)
+        return
+    assert_matches_oracle(rows, q_values, k)
+
+
+def test_query_scores_the_largest_and_smallest_norms_a_database_holds():
+    # the largest component whose square is finite, and the least one whose
+    # square is not 0: the norm products of any two stay finite and nonzero
+    big, tiny = math.sqrt(sys.float_info.max), math.sqrt(5e-324)
+    rows = [[big], [-tiny], [tiny], [-big]]
+    for q_values in ([big], [tiny], [-tiny]):
+        assert_matches_oracle(rows, q_values, 4)
 
 
 def test_embedding_vector_validations():
