@@ -3,10 +3,15 @@
 
 Everything here is deliberately independent of the package under test: the
 canonical serializer, the similarity solve, the temporal resampling, and the
-substitution logic are all reimplemented with plain scalar math (the solve via
-the direct rotation parameterization rather than an SVD).  The edit goldens
-this script writes are therefore an oracle: the package must reproduce them
-byte-for-byte without ever having produced them.
+substitution logic are all reimplemented with plain scalar math.  The edit
+goldens this script writes are therefore an oracle: the package must reproduce
+them byte-for-byte without ever having produced them.
+
+The one shared piece is the similarity solve's formula: the package's
+``solve_similarity`` and ``SimilarityTransform2D.apply`` perform the same IEEE
+operations in the same order as ``solve_scalar`` and ``apply_scalar`` below,
+so the two agree bit for bit.  The independent check of the solve is the
+angle-scan oracle in ``tests/oracles.py`` (``best_similarity_by_scan``).
 
 Deterministic by construction: fixed seeds, fixed iteration order.  Run from
 anywhere:
@@ -98,15 +103,17 @@ def solve_scalar(fixed_pts, moving_pts, usable):
 
     Over usable pairs, with centered coordinates p (fixed) and q (moving):
     theta = atan2(B, A) with A = sum(px*qx + py*qy), B = sum(py*qx - px*qy);
-    scale = sqrt(A^2 + B^2) / sum(|q|^2); translation closes the centroids.
+    scale = hypot(A, B) / sum(|q|^2); translation closes the centroids.  Every
+    sum is a 0.0-started left-to-right loop, never the builtin ``sum`` (which
+    is compensated from Python 3.12 on).
     """
     pairs = [(fixed_pts[i], moving_pts[i]) for i in range(len(fixed_pts)) if usable[i]]
     n = len(pairs)
     assert n >= 2, "under-determined fixture"
-    mpx = sum(p[0] for p, _ in pairs) / n
-    mpy = sum(p[1] for p, _ in pairs) / n
-    mqx = sum(q[0] for _, q in pairs) / n
-    mqy = sum(q[1] for _, q in pairs) / n
+    mpx = mpy = mqx = mqy = 0.0
+    for (px, py), (qx, qy) in pairs:
+        mpx, mpy, mqx, mqy = mpx + px, mpy + py, mqx + qx, mqy + qy
+    mpx, mpy, mqx, mqy = mpx / n, mpy / n, mqx / n, mqy / n
     a = b = qq = 0.0
     for (px, py), (qx, qy) in pairs:
         cpx, cpy = px - mpx, py - mpy
@@ -116,7 +123,7 @@ def solve_scalar(fixed_pts, moving_pts, usable):
         qq += cqx * cqx + cqy * cqy
     assert qq > 0.0, "coincident moving points in fixture"
     theta = math.atan2(b, a)
-    scale = math.sqrt(a * a + b * b) / qq
+    scale = math.hypot(a, b) / qq
     assert scale > 0.0, "degenerate scale in fixture"
     c, s = math.cos(theta), math.sin(theta)
     tx = mpx - scale * (c * mqx - s * mqy)

@@ -30,7 +30,7 @@ def _load_config_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
         raise ParseError(f"cannot read config {path}: {exc}") from exc
     values = parse_pipeline_config(text)
     base = os.path.dirname(os.path.abspath(path))

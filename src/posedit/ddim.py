@@ -171,12 +171,14 @@ def sample_with_blend(
 
 
 def linear_predictor(matrix):
-    """eps = A @ z, inducing the linear step z' = (c_t I + d_t A) z.
+    """eps = A z, inducing the linear step z' = (c_t I + d_t A) z.
 
     With a_t = alphas[t] and a_prev = alphas[t-1] the coefficients are
     c_t = sqrt(a_prev / a_t) and d_t = sqrt(1 - a_prev) - c_t * sqrt(1 - a_t),
-    so whole trajectories collapse to matrix products.  An eps that overflows
-    comes back non-finite, for the step that uses it to refuse.
+    so whole trajectories collapse to matrix products.  Each row of A z is
+    numpy's own sum of ``A[i] * z``, not a BLAS product, so the bits do not
+    depend on the BLAS build.  An eps that overflows comes back non-finite,
+    for the step that uses it to refuse.
     """
     a = np.array(matrix, dtype=np.float64, copy=True)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -187,6 +189,6 @@ def linear_predictor(matrix):
         if z.shape != (a.shape[0],):
             raise ShapeError(f"latent dim {z.shape} does not match matrix {a.shape}")
         with np.errstate(over="ignore", invalid="ignore"):
-            return a @ z
+            return (a * z).sum(axis=1)
 
     return pred

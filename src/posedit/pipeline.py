@@ -571,7 +571,8 @@ def run_metrics(config: PipelineConfig) -> dict:
     per_case = []
     hits = 0
     con_total = 0.0
-    gt_values = []
+    gt_total = 0.0
+    gt_count = 0
     for case in cases:
         hit = prompt_hit(case)
         hits += 1 if hit else 0
@@ -584,7 +585,8 @@ def run_metrics(config: PipelineConfig) -> dict:
         }
         if case.ground_truth is not None:
             g = gt_con(case.edited, case.ground_truth)
-            gt_values.append(g)
+            gt_total += g
+            gt_count += 1
             row["gt_con"] = round(g, 6)
         per_case.append(row)
 
@@ -592,16 +594,15 @@ def run_metrics(config: PipelineConfig) -> dict:
         "vid_acc": round(hits / len(cases), 6),
         "vid_con": round(con_total / len(cases), 6),
     }
-    if gt_values:
-        aggregates["gt_con"] = round(sum(gt_values) / len(gt_values), 6)
+    if gt_count:
+        aggregates["gt_con"] = round(gt_total / gt_count, 6)
 
     report = {"cases": per_case, "aggregates": aggregates, "case_count": len(cases)}
 
-    has_gt = bool(gt_values)
     width = max(len("case_id"), max(len(c.case_id) for c in cases))
     lines = [
         f"{'case_id':<{width}}  {'prompt_hit':>10}  {'vid_con':>10}"
-        + (f"  {'gt_con':>10}" if has_gt else "")
+        + (f"  {'gt_con':>10}" if gt_count else "")
     ]
     for row in per_case:
         line = (
@@ -609,13 +610,13 @@ def run_metrics(config: PipelineConfig) -> dict:
             f"{('yes' if row['prompt_hit'] else 'no'):>10}  "
             f"{row['vid_con']:>10.6f}"
         )
-        if has_gt:
+        if gt_count:
             line += f"  {row['gt_con']:>10.6f}" if "gt_con" in row else f"  {'-':>10}"
         lines.append(line)
     lines.append("")
     lines.append(f"vid_acc  {aggregates['vid_acc']:.6f}")
     lines.append(f"vid_con  {aggregates['vid_con']:.6f}")
-    if has_gt:
+    if gt_count:
         lines.append(f"gt_con   {aggregates['gt_con']:.6f}")
 
     _publish(

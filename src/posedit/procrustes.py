@@ -2,11 +2,13 @@
 
 Solves min over (s, R, t) of sum_i ||p_i - (s * R * q_i + t)||^2 where p comes
 from the fixed set, q from the moving set, and only correspondences usable in
-both sets enter the sum.  The solution is the classic centered-SVD construction:
-subtract centroids, take the SVD of the 2x2 cross-covariance, correct the sign
-so det(R) = +1 (mirrored solutions are rejected because a reflected pose swaps
-left and right joints), and recover the scale from the singular values over the
-moving-set variance.
+both sets enter the sum.  In 2-D the optimum is closed-form: over centered
+coordinates, theta = atan2(B, A) with A = sum(px*qx + py*qy) and
+B = sum(py*qx - px*qy), scale = hypot(A, B) / sum(qx^2 + qy^2), and the
+translation closes the centroids; the rotation is always proper, since a
+reflected pose would swap left and right joints.  Each sum is a 0.0-started
+left-to-right loop and no BLAS or LAPACK call is made, so the bits equal
+``scripts/make_fixtures.py``'s ``solve_scalar`` on every BLAS build.
 
 The solved transform is meant to be fit on a single pair of frames and then
 applied to every frame of a clip; see :func:`apply_transform`.
@@ -79,19 +81,16 @@ class SimilarityTransform2D:
     def identity(cls) -> "SimilarityTransform2D":
         return cls(scale=1.0, theta=0.0, translation=(0.0, 0.0))
 
-    def rotation(self) -> np.ndarray:
-        """The 2x2 proper rotation matrix for ``theta``."""
-        c, s = math.cos(self.theta), math.sin(self.theta)
-        return np.array([[c, -s], [s, c]], dtype=np.float64)
-
     def apply(self, points: np.ndarray) -> np.ndarray:
-        """Map an (n, 2) array of coordinates through the transform, one
-        1x2 @ 2x2 product per point: a point's bits do not depend on n."""
+        """Map an (n, 2) array of coordinates through the transform,
+        elementwise: a point's bits do not depend on n."""
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise ShapeError(f"points must have shape (n, 2), got {pts.shape}")
-        rotated = (self.scale * pts)[:, None, :] @ self.rotation().T
-        return rotated[:, 0, :] + np.asarray(self.translation)
+        c, s = math.cos(self.theta), math.sin(self.theta)
+        tx, ty = self.translation
+        x, y = pts[:, 0], pts[:, 1]
+        return np.stack((self.scale * (x * c - y * s) + tx, self.scale * (x * s + y * c) + ty), 1)
 
 
 def solve_similarity(fixed: KeypointSet, moving: KeypointSet) -> SimilarityTransform2D:
@@ -113,32 +112,29 @@ def solve_similarity(fixed: KeypointSet, moving: KeypointSet) -> SimilarityTrans
         raise GeometryError(
             f"degenerate configuration: {n} usable correspondences, need at least 2"
         )
-    p = fixed.points[usable]
-    q = moving.points[usable]
-
-    mu_p = p.mean(axis=0)
-    mu_q = q.mean(axis=0)
-    pc = p - mu_p
-    qc = q - mu_q
-
-    var_q = float((qc * qc).sum()) / n
-    if var_q == 0.0:
+    pairs = list(zip(fixed.points[usable].tolist(), moving.points[usable].tolist()))
+    mpx = mpy = mqx = mqy = 0.0
+    for (px, py), (qx, qy) in pairs:
+        mpx, mpy, mqx, mqy = mpx + px, mpy + py, mqx + qx, mqy + qy
+    mpx, mpy, mqx, mqy = mpx / n, mpy / n, mqx / n, mqy / n
+    a = b = qq = 0.0
+    for (px, py), (qx, qy) in pairs:
+        cpx, cpy, cqx, cqy = px - mpx, py - mpy, qx - mqx, qy - mqy
+        a += cpx * cqx + cpy * cqy
+        b += cpy * cqx - cpx * cqy
+        qq += cqx * cqx + cqy * cqy
+    if qq == 0.0:
         raise GeometryError("scale undefined: all usable moving points coincide")
-
-    cov = pc.T @ qc / n
-    u, d, vt = np.linalg.svd(cov)
-    sign = 1.0 if np.linalg.det(u) * np.linalg.det(vt) >= 0.0 else -1.0
-    rot = u @ np.diag([1.0, sign]) @ vt
-    scale = (d[0] + sign * d[1]) / var_q
+    theta = math.atan2(b, a)
+    scale = math.hypot(a, b) / qq
     if scale <= 0.0:
         raise GeometryError(
             "optimal scale is not positive; the fixed points carry no usable spread"
         )
-    trans = mu_p - scale * rot @ mu_q
-    theta = math.atan2(rot[1, 0], rot[0, 0])
-    return SimilarityTransform2D(
-        scale=float(scale), theta=float(theta), translation=(float(trans[0]), float(trans[1]))
-    )
+    c, s = math.cos(theta), math.sin(theta)
+    tx = mpx - scale * (c * mqx - s * mqy)
+    ty = mpy - scale * (s * mqx + c * mqy)
+    return SimilarityTransform2D(scale=scale, theta=theta, translation=(tx, ty))
 
 
 def residual(

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 
@@ -17,6 +18,8 @@ settings.register_profile(
 settings.load_profile("suite")
 
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
+MAKE_FIXTURES = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                             "scripts", "make_fixtures.py")
 
 
 @pytest.fixture(autouse=True)
@@ -40,6 +43,15 @@ def fixture_path(*parts: str) -> str:
 def read_fixture(*parts: str) -> str:
     with open(fixture_path(*parts), "r", encoding="utf-8") as fh:
         return fh.read()
+
+
+def load_make_fixtures():
+    """``scripts/make_fixtures.py`` as a module: the scalar oracle the
+    goldens come from."""
+    spec = importlib.util.spec_from_file_location("make_fixtures", MAKE_FIXTURES)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def joints_reversed(text: str) -> str:

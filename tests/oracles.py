@@ -43,10 +43,10 @@ def best_similarity_by_scan(fixed_pts, moving_pts, usable, grid=131072, refine=2
     n = len(pairs)
     if n < 2:
         raise ValueError("scan oracle needs two usable pairs")
-    mpx = sum(p[0] for p, _ in pairs) / n
-    mpy = sum(p[1] for p, _ in pairs) / n
-    mqx = sum(q[0] for _, q in pairs) / n
-    mqy = sum(q[1] for _, q in pairs) / n
+    mpx = mpy = mqx = mqy = 0.0
+    for (px, py), (qx, qy) in pairs:
+        mpx, mpy, mqx, mqy = mpx + px, mpy + py, mqx + qx, mqy + qy
+    mpx, mpy, mqx, mqy = mpx / n, mpy / n, mqx / n, mqy / n
     a = b = qq = pp = 0.0
     for (px, py), (qx, qy) in pairs:
         cpx, cpy = px - mpx, py - mpy
@@ -278,5 +278,8 @@ def metric_aggregates_from_doc(cases):
         "vid_con": con_total / len(cases),
     }
     if gt_values:
-        out["gt_con"] = sum(gt_values) / len(gt_values)
+        gt_total = 0.0
+        for g in gt_values:
+            gt_total += g
+        out["gt_con"] = gt_total / len(gt_values)
     return out

@@ -6,6 +6,7 @@ import json
 import os
 import shlex
 import shutil
+import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -394,6 +395,18 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     )
     assert code == 2
     assert "cannot read config" in err
+
+
+def test_config_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_bytes(b'{"seed": 1, "note": "\xff"}')
+    code, out, err = run_cli(
+        capsys, "ddim-demo", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")
+    )
+    assert code == 2
+    assert err.startswith(f"error: cannot read config {cfg_path}: ")
+    assert "Traceback" not in err
+    assert not os.path.exists(tmp_path / "out")
 
 
 def copy_bundle(tmp_path, bundle):
@@ -928,6 +941,53 @@ def test_edit_reruns_are_byte_identical(tmp_path, capsys):
     assert run_cli(capsys, *edit_flags("e2e_duo_wave", first))[0] == 0
     assert run_cli(capsys, *edit_flags("e2e_duo_wave", second))[0] == 0
     assert identical_trees(first, second)
+
+
+# --- the BLAS kernel ----------------------------------------------------------------
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def run_posedit_on_kernel(argv, kernel, cache):
+    """``posedit *argv`` as a subprocess with its own index cache and
+    ``OPENBLAS_CORETYPE`` unset (None) or set to ``kernel``; returns stdout."""
+    env = {**os.environ, "XDG_CACHE_HOME": str(cache), "PYTHONPATH": os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p)}
+    env.pop("OPENBLAS_CORETYPE", None)
+    if kernel is not None:
+        env["OPENBLAS_CORETYPE"] = kernel
+    proc = subprocess.run([sys.executable, "-m", "posedit.cli", *argv],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.parametrize("command", ["align", "edit", "ddim-demo"])
+def test_output_tree_does_not_depend_on_the_blas_kernel(tmp_path, command):
+    """OpenBLAS built with ``DYNAMIC_ARCH`` (numpy's wheels are) picks its
+    kernels for the CPU at load time; ``OPENBLAS_CORETYPE`` overrides that
+    choice, and kernels for different CPUs sum in different orders.  The
+    command runs once on the default kernel and once on ``Prescott`` (the
+    oldest x86-64 kernel, so any x86-64 host can run it), and both runs must
+    write the same bytes.  On a BLAS that ignores ``OPENBLAS_CORETYPE`` both
+    runs use the same kernel, and this test passes without checking anything.
+    """
+    ddim_config = tmp_path / "ddim.json"
+    ddim_config.write_text(json.dumps({"latent_dim": 8, "ddim_steps": 10}), encoding="utf-8")
+    runs = []
+    for kernel in (None, "Prescott"):
+        tag = kernel or "default"
+        out_dir = tmp_path / f"out-{tag}"
+        argv = {
+            "align": ["align", fixture_path("align", "fixed.json"),
+                      fixture_path("align", "moving.json"), "--out-dir", str(out_dir)],
+            "edit": edit_flags("e2e_duo_wave", out_dir),
+            "ddim-demo": ["ddim-demo", "--config", str(ddim_config), "--out-dir", str(out_dir)],
+        }[command]
+        runs.append((out_dir, run_posedit_on_kernel(argv, kernel, tmp_path / f"cache-{tag}")))
+    (default_dir, default_out), (prescott_dir, prescott_out) = runs
+    assert prescott_out == default_out
+    assert identical_trees(default_dir, prescott_dir)
 
 
 # --- any string in any document field -------------------------------------------------

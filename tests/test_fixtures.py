@@ -4,20 +4,9 @@ for byte, so a change to the generator, or a hand edit of a fixture, that the
 other side does not match fails here."""
 
 import filecmp
-import importlib.util
 import os
 
-from conftest import FIXTURES
-
-MAKE_FIXTURES = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                             "scripts", "make_fixtures.py")
-
-
-def load_make_fixtures():
-    spec = importlib.util.spec_from_file_location("make_fixtures", MAKE_FIXTURES)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from conftest import FIXTURES, load_make_fixtures
 
 
 def relative_files(root):

@@ -14,7 +14,7 @@ from posedit import (
     residual,
     solve_similarity,
 )
-from conftest import pose_video, read_fixture
+from conftest import load_make_fixtures, pose_video, read_fixture
 from oracles import best_similarity_by_scan, pointwise_residual
 
 
@@ -81,8 +81,7 @@ def test_mirrored_points_still_give_a_proper_rotation():
     fixed = moving.copy()
     fixed[:, 0] *= -1.0   # reflection, outside the model family
     tr = solve_similarity(kps(fixed), kps(moving))
-    r = tr.rotation()
-    assert abs(np.linalg.det(r) - 1.0) < 1e-12
+    assert tr.scale > 0.0
     scan = best_similarity_by_scan(
         [tuple(p) for p in fixed], [tuple(p) for p in moving], [True] * 4
     )
@@ -209,6 +208,57 @@ def test_solver_never_loses_to_the_scan_oracle(seed):
     scan = best_similarity_by_scan(fixed_l, moving_l, [True] * n, grid=16384)
     got = residual(tr, kps(fixed), kps(moving))
     assert got <= scan[3] + 1e-6
+
+
+MAKE_FIXTURES = load_make_fixtures()
+
+
+@st.composite
+def keypoint_pairs(draw):
+    """2-25 joints per set with their own masks, coordinates scaled by a
+    power of ten from 1e-3 to 1e3.  Each set is uniform, on the grid
+    {-1, 0, 1} or one repeated point, so coincident sets, zero cross terms
+    and too few usable pairs come up as well as the general case."""
+    n = draw(st.integers(min_value=2, max_value=25))
+    scale = 10.0 ** draw(st.integers(min_value=-3, max_value=3))
+    layouts = [draw(st.sampled_from(["uniform", "grid", "one point"])) for _ in range(2)]
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31 - 1)))
+
+    def points(layout):
+        if layout == "uniform":
+            unit = rng.uniform(-1.0, 1.0, (n, 2))
+        elif layout == "grid":
+            unit = rng.integers(-1, 2, size=(n, 2))
+        else:
+            unit = np.repeat(rng.uniform(-1.0, 1.0, (1, 2)), n, axis=0)
+        return [tuple(p) for p in (unit * scale).tolist()], (rng.random(n) < 0.8).tolist()
+
+    return (*points(layouts[0]), *points(layouts[1]))
+
+
+def bits(values):
+    """Each value's exact bits: its hex form, which keeps the sign of zero."""
+    return [float(v).hex() for v in values]
+
+
+@given(keypoint_pairs())
+def test_solve_and_apply_equal_the_fixture_oracle_bit_for_bit(case):
+    """The goldens come from ``make_fixtures.solve_scalar``/``apply_scalar``;
+    the library performs the same IEEE operations in the same order, so it
+    must give the same bits, or refuse exactly where the oracle does."""
+    fixed, fixed_mask, moving, moving_mask = case
+    usable = [a and b for a, b in zip(fixed_mask, moving_mask)]
+    try:
+        want = MAKE_FIXTURES.solve_scalar(fixed, moving, usable)
+    except AssertionError:
+        with pytest.raises(GeometryError):
+            solve_similarity(kps(fixed, fixed_mask), kps(moving, moving_mask))
+        return
+    tr = solve_similarity(kps(fixed, fixed_mask), kps(moving, moving_mask))
+    assert bits([tr.scale, tr.theta, *tr.translation]) == bits([want[0], want[1], *want[2]])
+    mapped = tr.apply(np.asarray(moving, dtype=np.float64))
+    want_mapped = [MAKE_FIXTURES.apply_scalar(want, x, y) for x, y in moving]
+    assert bits(mapped.ravel()) == bits(v for point in want_mapped for v in point)
 
 
 @given(st.integers(min_value=0, max_value=2**31 - 1))
