@@ -121,10 +121,13 @@ def solve_scalar(fixed_pts, moving_pts, usable):
         a += cpx * cqx + cpy * cqy
         b += cpy * cqx - cpx * cqy
         qq += cqx * cqx + cqy * cqy
-    assert qq > 0.0, "coincident moving points in fixture"
+    # coincidence is also tested exactly, as a float centroid can round
+    assert qq > 0.0 and any(q != pairs[0][1] for _, q in pairs), \
+        "coincident moving points in fixture"
     theta = math.atan2(b, a)
     scale = math.hypot(a, b) / qq
-    assert scale > 0.0, "degenerate scale in fixture"
+    assert scale > 0.0 and any(p != pairs[0][0] for p, _ in pairs), \
+        "degenerate scale in fixture"
     c, s = math.cos(theta), math.sin(theta)
     tx = mpx - scale * (c * mqx - s * mqy)
     ty = mpy - scale * (s * mqx + c * mqy)

@@ -23,15 +23,14 @@ import sys
 
 from . import pipeline
 from .config import CONFIG_FIELDS, PATH_FIELDS, make_config, parse_pipeline_config
-from .errors import ParseError, PoseditError
+from .errors import ParseError, PoseditError, StageError
 
 
 def _load_config_file(path: str) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
-        raise ParseError(f"cannot read config {path}: {exc}") from exc
+        text = pipeline._read(path)
+    except StageError as exc:  # a config it cannot read is a usage error: exit 2
+        raise ParseError(f"cannot read config {path}: {exc.__cause__}") from exc.__cause__
     values = parse_pipeline_config(text)
     base = os.path.dirname(os.path.abspath(path))
     for key in PATH_FIELDS:

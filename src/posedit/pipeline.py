@@ -10,6 +10,12 @@ The three model-shaped dependencies (answer text, detections, embeddings)
 arrive as files.  Optionally an external embedder command can be configured;
 it receives the raw answer text on stdin and must print an embedding document,
 which keeps real models pluggable without this package importing any.
+
+This module is the package's only file boundary.  Every file (inputs, the
+config, an earlier run's ``manifest.json``, database-cache entries) is read
+as bytes by :func:`_load`, every text is decoded by :func:`_decode`'s one
+rule, and every output and cache entry is written by :func:`_atomic_write`,
+the one temp-then-rename writer.
 """
 
 from __future__ import annotations
@@ -60,11 +66,11 @@ from .procrustes import (
 from .retrieval import (
     PoseDatabase,
     build_index,
-    load_index,
+    decode_index,
+    encode_index,
     parse_db_manifest,
     parse_embedding,
     query,
-    save_index,
     sha256_hex,
 )
 
@@ -110,15 +116,54 @@ def parse_answer(text: str) -> AnswerRecord:
     return AnswerRecord(subject=found["subject"], action=found["action"], raw=text)
 
 
-# --- small IO helpers -------------------------------------------------------------
+# --- the file boundary ------------------------------------------------------------
 
 
-def _read(path: str) -> str:
+def _load(path: str) -> bytes:
+    """The bytes of the file at ``path``; StageError when it cannot be read."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
             return fh.read()
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise StageError(f"cannot read {path}: {exc}") from exc
+
+
+def _decode(path: str, data: bytes) -> str:
+    """``data``, read from ``path``, as UTF-8 text with universal newlines,
+    as ``open(path, encoding="utf-8")`` would read it; StageError when it is
+    not UTF-8."""
+    try:  # an in-memory wrapper holds nothing to close
+        return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+    except ValueError as exc:
+        raise StageError(f"cannot read {path}: {exc}") from exc
+
+
+def _read(path: str) -> str:
+    """The text of the file at ``path``, by :func:`_load` and :func:`_decode`."""
+    return _decode(path, _load(path))
+
+
+def _atomic_write(directory: str, name: str, data) -> str:
+    """Write ``data`` (bytes, or a str written as UTF-8) to a temp file in
+    ``directory``, made if missing, then rename it to ``name``, so no reader
+    sees a half-written file; return ``name``.  StageError, and no temp file
+    left, on failure."""
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    try:
+        os.makedirs(directory, exist_ok=True)
+        with open(tmp, "wb") as fh:
+            fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+        os.replace(tmp, os.path.join(directory, name))
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path, or unencodable text
+        with contextlib.suppress(OSError, ValueError):
+            os.remove(tmp)
+        raise StageError(f"cannot write {os.path.join(directory, name)}: {exc}") from exc
+    return name
+
+
+def _write(out_dir: str, name: str, text: str) -> str:
+    """Write the output ``name`` in ``out_dir`` by :func:`_atomic_write`."""
+    return _atomic_write(out_dir, name, text)
 
 
 def _cache_dir() -> str | None:
@@ -131,48 +176,42 @@ def _cache_dir() -> str | None:
     return os.path.join(base, "posedit", "db") if os.path.isabs(base) else None
 
 
+def save_index(db: PoseDatabase, directory: str, key: str) -> None:
+    """Store ``db`` under ``key`` in ``directory`` as ``<key>.npy`` and then
+    ``<key>.json``, on a best-effort basis: a failed write is ignored."""
+    npy, doc = encode_index(db, key)
+    with contextlib.suppress(StageError):
+        _atomic_write(directory, f"{key}.npy", npy)
+        _atomic_write(directory, f"{key}.json", doc)
+
+
+def load_index(directory: str, key: str) -> PoseDatabase | None:
+    """The database :func:`save_index` stored under ``key`` in ``directory``,
+    or None when a file is missing, unreadable or fails a check of
+    :func:`~posedit.retrieval.decode_index`."""
+    try:
+        npy, doc = (_load(os.path.join(directory, key + ext)) for ext in (".npy", ".json"))
+    except StageError:
+        return None
+    return decode_index(key, npy, doc)
+
+
 def _database(path: str) -> PoseDatabase:
     """The database the manifest at ``path`` holds.
 
     A manifest whose bytes were compiled before is loaded from the index
-    cache under their sha256; any other is decoded as :func:`_read` decodes,
+    cache under their sha256; any other is decoded by :func:`_decode`,
     parsed and indexed, and a database that builds is stored for the next
     run.  Either way the database, and so every output, is the same.
     """
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
-        raise StageError(f"cannot read {path}: {exc}") from exc
-    cache = _cache_dir()
-    key = sha256_hex(data)
+    data = _load(path)
+    cache, key = _cache_dir(), sha256_hex(data)
     db = load_index(cache, key) if cache else None
     if db is None:
-        try:  # the decoding open(path, "r", encoding="utf-8") does
-            with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh:
-                text = fh.read()
-        except ValueError as exc:
-            raise StageError(f"cannot read {path}: {exc}") from exc
-        db = build_index(parse_db_manifest(text))
+        db = build_index(parse_db_manifest(_decode(path, data)))
         if cache:
             save_index(db, cache, key)
     return db
-
-
-def _write(out_dir: str, name: str, text: str) -> str:
-    """Write ``text`` to a temp file in ``out_dir``, then rename it to ``name``."""
-    path = os.path.join(out_dir, name)
-    tmp = os.path.join(out_dir, f".{name}.{os.getpid()}.tmp")
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
-        with contextlib.suppress(OSError, ValueError):
-            os.remove(tmp)
-        raise StageError(f"cannot write {path}: {exc}") from exc
-    return name
 
 
 def _dump(name: str, doc) -> str:
@@ -191,9 +230,8 @@ def _named_by_manifest(manifest: str) -> set[str]:
     if not os.path.isfile(manifest):  # never open a FIFO or a directory
         return set()
     try:
-        with open(manifest, "r", encoding="utf-8") as fh:
-            doc = load_json(fh.read())
-    except (OSError, ValueError, ParseError):  # ValueError: undecodable bytes
+        doc = load_json(_read(manifest))
+    except (StageError, ParseError):
         return set()
     names = doc.get("files") if isinstance(doc, dict) else None
     if not isinstance(names, list):
@@ -357,6 +395,10 @@ def run_retrieve(config: PipelineConfig) -> dict:
     return {"ranking": ranking, "outputs": names}
 
 
+# how long the external embedder may run before it is killed
+_EMBEDDER_TIMEOUT_S = 60
+
+
 def _embed_answer(config: PipelineConfig, answer: AnswerRecord):
     """Query embedding: from the configured file, or the external command."""
     if config.query_embedding is not None:
@@ -372,7 +414,7 @@ def _embed_answer(config: PipelineConfig, answer: AnswerRecord):
             input=answer.raw,
             capture_output=True,
             encoding="utf-8",
-            timeout=60,
+            timeout=_EMBEDDER_TIMEOUT_S,
         )
     except OSError as exc:
         raise StageError(f"embedder command failed to start: {exc}") from exc

@@ -99,8 +99,9 @@ def solve_similarity(fixed: KeypointSet, moving: KeypointSet) -> SimilarityTrans
     Only correspondences usable in both sets participate.  Raises
     :class:`GeometryError` when the problem is under-determined (fewer than 2
     usable correspondences), when all usable moving points coincide (scale
-    undefined), or when the unconstrained optimum would need a non-positive
-    scale (no feasible minimizer exists).
+    undefined), or when all usable fixed points coincide or the unconstrained
+    optimum would need a non-positive scale (no feasible minimizer exists).
+    Coincidence is exact equality of the given coordinates.
     """
     if len(fixed) != len(moving):
         raise ShapeError(
@@ -123,11 +124,14 @@ def solve_similarity(fixed: KeypointSet, moving: KeypointSet) -> SimilarityTrans
         a += cpx * cqx + cpy * cqy
         b += cpy * cqx - cpx * cqy
         qq += cqx * cqx + cqy * cqy
-    if qq == 0.0:
+    # coincidence is also tested exactly: the float centroid of copies of one
+    # point need not equal it, which leaves the copies a spread of rounding
+    # errors, and a transform solved from that spread
+    if qq == 0.0 or all(q == pairs[0][1] for _, q in pairs):
         raise GeometryError("scale undefined: all usable moving points coincide")
     theta = math.atan2(b, a)
     scale = math.hypot(a, b) / qq
-    if scale <= 0.0:
+    if scale <= 0.0 or all(p == pairs[0][0] for p, _ in pairs):
         raise GeometryError(
             "optimal scale is not positive; the fixed points carry no usable spread"
         )

@@ -7,22 +7,25 @@ in one pass of :func:`_dots`, which adds the products in the order
 :func:`cosine` does, so each score equals ``cosine(entry, query)`` bit for
 bit, and stably sorts them.
 
-:func:`save_index` stores a built database as a binary matrix plus a small
-document, and :func:`load_index` loads it back after checking it, so a
-manifest need be parsed only once.
+:func:`encode_index` turns a built database into the contents of the two
+cache files, a binary matrix and a small document, and
+:func:`decode_index` turns them back into the database after checking
+them, so a manifest need be parsed only once.
 
-Embeddings arrive from files; this module never computes one.
+Embeddings arrive from files, and those files, the cache's included, are
+read and written by :mod:`posedit.pipeline`: this module computes no
+embedding and touches no file.
 """
 
 from __future__ import annotations
 
-import contextlib
+import io
 import json
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib import format as npy_format
 
 from ._schema import array, integer, load_json, name, obj, reals, string, well_formed
 from .errors import DatabaseError, GeometryError, ParseError, ShapeError
@@ -34,8 +37,8 @@ class EmbeddingVector:
 
     ``values`` is a tuple, except in database entries: those
     :func:`parse_db_manifest` returns keep each validated row as the list it
-    was parsed into, and those of a database :func:`load_index` returns hold
-    a read-only row of its matrix.  Nothing writes to either, and nothing
+    was parsed into, and those of a database :func:`decode_index` returns
+    hold a read-only row of its matrix.  Nothing writes to either, and nothing
     scores them: :func:`query` scores the database matrix.  Equality and
     hashing go by the values in every case.
     """
@@ -94,9 +97,9 @@ class PoseDatabase:
     :func:`cosine` takes of its row; both read-only.
 
     ``matrix`` holds the parsed floats exactly, so it is what :func:`query`
-    scores from, and what :func:`save_index` stores; a database
-    :func:`load_index` returns is equal to the one that was saved, matrix and
-    norms included, bit for bit."""
+    scores from, and what :func:`encode_index` stores; a database
+    :func:`decode_index` returns is equal to the one that was encoded, matrix
+    and norms included, bit for bit."""
 
     entries: tuple[PoseDbEntry, ...]
     dim: int
@@ -253,10 +256,10 @@ def sha256_hex(data) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def save_index(db: PoseDatabase, directory: str, key: str) -> None:
-    """Store ``db`` under ``key`` in ``directory``, on a best-effort basis:
-    an OSError is ignored.  Each file is written to a temp file and renamed
-    into place, the ``.json`` last, so no reader sees a half-written file."""
+def encode_index(db: PoseDatabase, key: str) -> tuple[bytes, bytes]:
+    """The ``(<key>.npy, <key>.json)`` contents that store ``db`` under
+    ``key``: the bytes ``np.save`` writes for its matrix, and the ASCII
+    document."""
     doc = {
         "dim": db.dim,
         "ids": [e.entry_id for e in db.entries],
@@ -265,12 +268,10 @@ def save_index(db: PoseDatabase, directory: str, key: str) -> None:
         "paths": [e.pose_video_path for e in db.entries],
     }
     doc["sha256"] = _digest(key, doc)
-    try:
-        os.makedirs(directory, exist_ok=True)
-        _replace(directory, f"{key}.npy", lambda fh: np.save(fh, db.matrix, allow_pickle=False))
-        _replace(directory, f"{key}.json", lambda fh: fh.write(json.dumps(doc).encode("ascii")))
-    except OSError:
-        pass
+    header = io.BytesIO()
+    npy_format.write_array_header_1_0(header, npy_format.header_data_from_array_1_0(db.matrix))
+    # the matrix is column-major: its transpose holds its bytes in np.save's order
+    return b"".join((header.getvalue(), db.matrix.T)), json.dumps(doc).encode("ascii")
 
 
 def _digest(key: str, doc: dict) -> str:
@@ -279,35 +280,33 @@ def _digest(key: str, doc: dict) -> str:
     return sha256_hex(json.dumps([key, fields], sort_keys=True).encode("ascii"))
 
 
-def _replace(directory: str, name: str, write) -> None:
-    """Call ``write`` on a temp file in ``directory``, then rename it to ``name``."""
-    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            write(fh)
-        os.replace(tmp, os.path.join(directory, name))
-    except OSError:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        raise
+def _npy_view(data: bytes) -> np.ndarray:
+    """The array that the ``.npy`` bytes ``data`` hold in format 1.0, the
+    one :func:`encode_index` writes, as ``np.load`` would read it, but as a
+    read-only view of ``data``, not a copy; ValueError when they hold none."""
+    stream = io.BytesIO(data)
+    if npy_format.read_magic(stream) != (1, 0):
+        raise ValueError("not an .npy array in format 1.0")
+    shape, fortran_order, dtype = npy_format.read_array_header_1_0(stream)
+    array = np.frombuffer(data, dtype, math.prod(shape), stream.tell())
+    return array.reshape(shape[::-1]).T if fortran_order else array.reshape(shape)
 
 
-def load_index(directory: str, key: str) -> PoseDatabase | None:
-    """The database :func:`save_index` stored under ``key`` in ``directory``,
-    or None when there is none or it fails a check.
+def decode_index(key: str, npy: bytes, doc: bytes) -> PoseDatabase | None:
+    """The database :func:`encode_index` stored under ``key`` as ``npy`` and
+    ``doc``, or None when they fail a check.
 
     The document must carry its own digest.  The matrix must be float64,
     column-major, of the stored shape and hash, and finite, and every row
     must pass :func:`build_index`'s norm rule; ids, labels and paths must be
     nonempty strings without unpaired surrogates, and the ids unique.
-    Entries hold read-only views of the matrix rows as their embeddings.
+    Entries hold read-only views of the matrix rows, which is a view of
+    ``npy``, as their embeddings.
     """
     try:
-        with open(os.path.join(directory, f"{key}.json"), "rb") as fh:
-            doc = json.loads(fh.read())
-        with open(os.path.join(directory, f"{key}.npy"), "rb") as fh:
-            matrix = np.load(fh, allow_pickle=False)
-    except Exception:  # a missing or damaged file fails in many ways; all are misses
+        doc = json.loads(doc)
+        matrix = _npy_view(npy)
+    except Exception:  # damaged bytes fail in many ways; all are misses
         return None
     if not (
         isinstance(doc, dict)

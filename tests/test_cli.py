@@ -15,7 +15,7 @@ from dataclasses import fields
 import pytest
 from hypothesis import given, strategies as st
 
-from posedit import PipelineConfig
+from posedit import PipelineConfig, pipeline
 from posedit.cli import build_parser, main
 from conftest import fixture_path, joints_reversed, read_fixture
 
@@ -457,6 +457,28 @@ def test_edit_reports_a_raising_embedder_on_one_line(tmp_path, capsys):
         "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)\n"
     )
     assert not os.path.exists(tmp_path / "out")
+
+
+def test_edit_kills_an_embedder_that_outlives_its_timeout(tmp_path, capsys, monkeypatch):
+    started = []
+
+    class Recorded(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+    monkeypatch.setattr(pipeline, "_EMBEDDER_TIMEOUT_S", 0.5)
+    monkeypatch.setattr(subprocess, "Popen", Recorded)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    (out_dir / "kept.txt").write_text("kept", encoding="utf-8")
+    code, out, err = edit_with_embedder(tmp_path, capsys, "import time; time.sleep(60)")
+    assert (code, out, err) == (3, "", "error: embedder command timed out\n")
+    assert tree_bytes(out_dir) == {"kept.txt": b"kept"}
+    (embedder,) = started
+    assert embedder.returncode is not None  # killed and reaped
+    with pytest.raises(ProcessLookupError):
+        os.kill(embedder.pid, 0)
 
 
 def test_edit_leaves_a_bystander_without_visible_keypoints_unmatched(tmp_path, capsys):
@@ -1085,3 +1107,100 @@ def test_align_refuses_or_writes_any_skeleton_names_and_label(data):
         argv = ["align", write_json(tmp, "fixed.json", fixed),
                 write_json(tmp, "moving.json", moving)]
         assert_clean_outcome(argv, os.path.join(tmp, "out"))
+
+
+# --- coincident points ----------------------------------------------------------------
+# Copies of one point carry no spread, but their float centroid need not be
+# the point itself; centring on it would leave the copies a spread of
+# rounding errors and solve a transform from it.
+
+OFFSETS = st.floats(min_value=-20.0, max_value=20.0)
+COINCIDENT = {
+    "fixed": "optimal scale is not positive; the fixed points carry no usable spread",
+    "moving": "scale undefined: all usable moving points coincide",
+}
+
+
+def first_keypoints(doc, person=0):
+    return doc["frames"][0]["instances"][person]["keypoints"]
+
+
+def pin(keypoints, point):
+    for kp in keypoints:
+        kp.update(x=point[0], y=point[1], visible=True)
+
+
+def hide(keypoints):
+    for kp in keypoints:
+        kp["visible"] = False
+
+
+def read_json(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+@given(st.sampled_from(sorted(COINCIDENT)), st.integers(min_value=2, max_value=17),
+       OFFSETS, OFFSETS)
+def test_align_refuses_coincident_points_on_either_side(side, copies, dx, dy):
+    doc = json.loads(read_fixture("align", f"{side}.json"))
+    keypoints = first_keypoints(doc)
+    pin(keypoints[:copies], (keypoints[0]["x"] + dx, keypoints[0]["y"] + dy))
+    hide(keypoints[copies:])
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: fixture_path("align", f"{name}.json") for name in COINCIDENT}
+        paths[side] = write_json(tmp, f"{side}.json", doc)
+        out_dir = os.path.join(tmp, "out")
+        code, out, err = main_with_strict_streams(
+            ["align", paths["fixed"], paths["moving"], "--out-dir", out_dir]
+        )
+        assert (code, out, err) == (3, "", f"error: {COINCIDENT[side]}\n")
+        assert not os.path.exists(out_dir)
+
+
+@given(st.sampled_from(sorted(COINCIDENT)), st.integers(min_value=2, max_value=8),
+       OFFSETS, OFFSETS)
+def test_edit_lists_a_person_with_coincident_points_as_unaligned(side, copies, dx, dy):
+    """The retrieved clip's first frame shows its first ``copies`` joints.
+    ``moving``: all at one point, so no person can be aligned to it.
+    ``fixed``: where they are, and an added person 99 shows those joints at
+    one point, so only person 99 cannot be aligned and passes through."""
+    with tempfile.TemporaryDirectory() as tmp:
+        bundle = os.path.join(tmp, "bundle")
+        shutil.copytree(fixture_path("e2e_duo_wave"), bundle)
+        clips = os.path.join(bundle, "db", "clips")
+        clip = read_json(os.path.join(clips, "wave_01.json"))
+        hide(first_keypoints(clip)[copies:])
+        if side == "moving":
+            keypoints = first_keypoints(clip)
+            pin(keypoints[:copies], (keypoints[0]["x"] + dx, keypoints[0]["y"] + dy))
+            unaligned = [0, 1]
+        else:
+            source = read_json(os.path.join(bundle, "source.json"))
+            for frame in source["frames"]:
+                person = frame["instances"][0]["keypoints"]
+                shifted = [{**kp, "x": kp["x"] + 230.0} for kp in person]
+                frame["instances"].append({"instance_id": 99, "keypoints": shifted})
+            keypoints = first_keypoints(source, person=-1)
+            pin(keypoints[:copies], (keypoints[0]["x"] + dx, keypoints[0]["y"] + dy))
+            write_json(bundle, "source.json", source)
+            dets = read_json(os.path.join(bundle, "detections.json"))
+            xs, ys = [kp["x"] for kp in keypoints], [kp["y"] for kp in keypoints]
+            dets["detections"].append({"phrase": "the man further right", "score": 0.8,
+                                       "box": [min(xs), min(ys), max(xs), max(ys)]})
+            write_json(bundle, "detections.json", dets)
+            unaligned = [99]
+        write_json(clips, "wave_01.json", clip)
+        out_dir = os.path.join(tmp, "out")
+        code, out, err = main_with_strict_streams(
+            ["edit", "--config", os.path.join(bundle, "config.json"), "--out-dir", out_dir]
+        )
+        assert code == 0, err
+        report = load_out(out_dir, "report.json")
+    pairs = sorted(pair["instance_id"] for pair in report["assignment"]["pairs"])
+    assert pairs == sorted({0, 1, *unaligned})
+    entry = report["retrieved"][0]
+    assert entry["unaligned"] == [
+        {"instance_id": inst_id, "reason": COINCIDENT[side]} for inst_id in unaligned
+    ]
+    assert sorted(map(int, entry["transforms"])) == sorted({0, 1} - set(unaligned))

@@ -188,7 +188,7 @@ def test_sample_with_blend_returns_full_trajectory():
     assert [s.t for s in traj] == [6, 5, 4, 3, 2, 1, 0]
     assert traj[0] is z
     for state in traj[1:]:
-        # built by LatentState._view: each state must still be read-only
+        # each state is built by the public LatentState constructor, which freezes it
         assert state.values.dtype == np.float64 and state.values.shape == (3,)
         assert not state.values.flags.writeable
     manual = z

@@ -18,14 +18,13 @@ from hypothesis import given, strategies as st
 
 from posedit import pipeline
 from posedit.cli import main
+from posedit.pipeline import load_index, save_index
 from posedit.retrieval import (
     PoseDatabase,
     PoseDbEntry,
     _digest,
     build_index,
-    load_index,
     parse_db_manifest,
-    save_index,
     sha256_hex,
 )
 from conftest import fixture_path
@@ -230,6 +229,9 @@ def test_a_loaded_database_equals_the_parsed_one(tmp_path):
     with open(fixture_path("retrieval", "db_manifest.json"), "r", encoding="utf-8") as fh:
         parsed = build_index(parse_db_manifest(fh.read()))
     save_index(parsed, str(tmp_path), "k")
+    saved = io.BytesIO()
+    np.save(saved, parsed.matrix, allow_pickle=False)
+    assert (tmp_path / "k.npy").read_bytes() == saved.getvalue()  # np.load reads it too
     loaded = load_index(str(tmp_path), "k")
     assert loaded == parsed
     assert loaded.matrix.tobytes() == parsed.matrix.tobytes()
