@@ -16,13 +16,11 @@ from .blending import (
     SpatialMap,
     blend_step,
     parse_attention_stack,
-    resize_mask,
     run_blend_schedule_with_masks,
     threshold_mask,
 )
 from .config import PipelineConfig, make_config, parse_pipeline_config
 from .ddim import (
-    DdimSchedule,
     LatentState,
     ddim_denoise_step,
     ddim_invert_step,
@@ -40,7 +38,6 @@ from .editor import (
     iou,
     out_of_bounds_detections,
     parse_detections,
-    resample_indices,
     resample_video,
 )
 from .errors import (
@@ -80,7 +77,6 @@ from .procrustes import (
 )
 from .retrieval import (
     EmbeddingVector,
-    PoseDatabase,
     PoseDbEntry,
     build_index,
     cosine,

@@ -378,14 +378,14 @@ def run_retrieve(config: PipelineConfig) -> dict:
     db = _database(db_path)
     q = parse_embedding(_read(q_path))
     ranked = query(db, q, min(config.top_k, len(db)))
-    by_id = {e.entry_id: e for e in db.entries}
+    row = {entry_id: i for i, entry_id in enumerate(db.ids)}
     ranking = [
         {
             "rank": i + 1,
             "entry_id": entry_id,
-            "label": by_id[entry_id].label,
+            "label": db.labels[row[entry_id]],
             "score": score,
-            "pose_video_path": by_id[entry_id].pose_video_path,
+            "pose_video_path": db.paths[row[entry_id]],
         }
         for i, (entry_id, score) in enumerate(ranked)
     ]
@@ -456,15 +456,14 @@ def run_edit(config: PipelineConfig) -> dict:
     assignment = assign_detections(dset, working, config.iou_threshold)
 
     ranked = query(db, q, min(config.top_k, len(db)))
-    by_id = {e.entry_id: e for e in db.entries}
+    row = {entry_id: i for i, entry_id in enumerate(db.ids)}
     db_dir = os.path.dirname(os.path.abspath(db_path))
 
     files = {}
     per_entry = []
     clips = {}  # resolved path -> parsed clip: entries may share a clip file
     for i, (entry_id, score) in enumerate(ranked):
-        entry = by_id[entry_id]
-        video_path = os.path.join(db_dir, entry.pose_video_path)  # kept if absolute
+        video_path = os.path.join(db_dir, db.paths[row[entry_id]])  # kept if absolute
         key = os.path.realpath(video_path)
         if key not in clips:
             clips[key] = parse_pose_video(_read(video_path))
@@ -476,7 +475,7 @@ def run_edit(config: PipelineConfig) -> dict:
         entry_doc = {
             "rank": i + 1,
             "entry_id": entry_id,
-            "label": entry.label,
+            "label": db.labels[row[entry_id]],
             "score": score,
             "output": out_name,
             "transforms": {

@@ -98,10 +98,11 @@ def solve_similarity(fixed: KeypointSet, moving: KeypointSet) -> SimilarityTrans
 
     Only correspondences usable in both sets participate.  Raises
     :class:`GeometryError` when the problem is under-determined (fewer than 2
-    usable correspondences), when all usable moving points coincide (scale
-    undefined), or when all usable fixed points coincide or the unconstrained
-    optimum would need a non-positive scale (no feasible minimizer exists).
-    Coincidence is exact equality of the given coordinates.
+    usable correspondences), when all usable moving points coincide or their
+    squared spread underflows to 0 (scale undefined), or when all usable
+    fixed points coincide or the unconstrained optimum would need a
+    non-positive scale (no feasible minimizer exists).  Coincidence is exact
+    equality of the given coordinates.
     """
     if len(fixed) != len(moving):
         raise ShapeError(
@@ -124,11 +125,15 @@ def solve_similarity(fixed: KeypointSet, moving: KeypointSet) -> SimilarityTrans
         a += cpx * cqx + cpy * cqy
         b += cpy * cqx - cpx * cqy
         qq += cqx * cqx + cqy * cqy
-    # coincidence is also tested exactly: the float centroid of copies of one
+    # coincidence is tested exactly: the float centroid of copies of one
     # point need not equal it, which leaves the copies a spread of rounding
     # errors, and a transform solved from that spread
-    if qq == 0.0 or all(q == pairs[0][1] for _, q in pairs):
+    if all(q == pairs[0][1] for _, q in pairs):
         raise GeometryError("scale undefined: all usable moving points coincide")
+    if qq == 0.0:
+        raise GeometryError(
+            "scale undefined: the usable moving points' squared spread underflows to 0"
+        )
     theta = math.atan2(b, a)
     scale = math.hypot(a, b) / qq
     if scale <= 0.0 or all(p == pairs[0][0] for p, _ in pairs):

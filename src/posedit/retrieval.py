@@ -1,16 +1,18 @@
 """Action-pose database indexing and cosine-similarity retrieval.
 
-:func:`build_index` keeps the entries in order (the tie-break order) and
-stacks their embeddings into one read-only (N, D) float64 matrix, stored
-column-major, with their exact row norms.  :func:`query` scores every entry
-in one pass of :func:`_dots`, which adds the products in the order
-:func:`cosine` does, so each score equals ``cosine(entry, query)`` bit for
-bit, and stably sorts them.
+A :class:`PoseDatabase` is columns in entry order (the tie-break order):
+the entry ids, labels and pose-video paths, one read-only (N, D) float64
+matrix of the embeddings, stored column-major, and its exact row norms.
+:func:`build_index` fills them from parsed entries.  :func:`query` scores
+every entry in one pass of :func:`_dots`, which adds the products in the
+order :func:`cosine` does, so each score equals ``cosine(entry, query)`` bit
+for bit, and stably sorts them.  :func:`_norm` is the one rule for a norm:
+its sum of squares must not be 0, underflow to 0 or overflow.
 
 :func:`encode_index` turns a built database into the contents of the two
 cache files, a binary matrix and a small document, and
-:func:`decode_index` turns them back into the database after checking
-them, so a manifest need be parsed only once.
+:func:`decode_index` turns them back into the database's columns after
+checking them, so a manifest need be parsed only once.
 
 Embeddings arrive from files, and those files, the cache's included, are
 read and written by :mod:`posedit.pipeline`: this module computes no
@@ -35,12 +37,10 @@ from .errors import DatabaseError, GeometryError, ParseError, ShapeError
 class EmbeddingVector:
     """A nonempty vector of finite floats.
 
-    ``values`` is a tuple, except in database entries: those
-    :func:`parse_db_manifest` returns keep each validated row as the list it
-    was parsed into, and those of a database :func:`decode_index` returns
-    hold a read-only row of its matrix.  Nothing writes to either, and nothing
-    scores them: :func:`query` scores the database matrix.  Equality and
-    hashing go by the values in every case.
+    ``values`` is a tuple, except in the entries :func:`parse_db_manifest`
+    returns: those keep each validated row as the list it was parsed into,
+    which nothing writes to.  Equality and hashing go by the values either
+    way.
     """
 
     values: tuple[float, ...]
@@ -89,28 +89,31 @@ class PoseDbEntry:
     pose_video_path: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PoseDatabase:
-    """Entries in tie-break order, with what :func:`build_index` derives from
-    them: ``matrix``, the (N, D) float64 embeddings in column-major (Fortran)
-    order, and ``norms``, their row norms, each the exact norm
-    :func:`cosine` takes of its row; both read-only.
+    """A database as columns in entry order (the tie-break order): ``ids``,
+    ``labels`` and ``paths`` (the verbatim pose-video paths), tuples;
+    ``matrix``, the (N, D) float64 embeddings in column-major (Fortran)
+    order; and ``norms``, their row norms, each the exact norm :func:`cosine`
+    takes of its row.  Both arrays are read-only.
 
     ``matrix`` holds the parsed floats exactly, so it is what :func:`query`
     scores from, and what :func:`encode_index` stores; a database
-    :func:`decode_index` returns is equal to the one that was encoded, matrix
-    and norms included, bit for bit."""
+    :func:`decode_index` returns has the columns, matrix and norms of the one
+    that was encoded, bit for bit.  ``==`` is identity: compare the fields."""
 
-    entries: tuple[PoseDbEntry, ...]
-    dim: int
-    matrix: np.ndarray = field(repr=False, compare=False)
-    norms: np.ndarray = field(repr=False, compare=False)
+    ids: tuple[str, ...]
+    labels: tuple[str, ...]
+    paths: tuple[str, ...]
+    matrix: np.ndarray = field(repr=False)
+    norms: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[1]
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.ids)
 
 
 def _dot(xs, ys) -> float:
@@ -143,32 +146,28 @@ def _dots(matrix, ys) -> np.ndarray:
 
 def cosine(a: EmbeddingVector, b: EmbeddingVector) -> float:
     """dot(a, b) / (|a| * |b|), each sum taken by :func:`_dot` in component
-    order; defined only for nonzero vectors whose norm product is a finite
-    float."""
+    order; GeometryError for a vector :func:`_norm` refuses.  Two norms it
+    passes lie in [sqrt(least subnormal), sqrt(max float)], so their product
+    is a finite, nonzero float."""
     if a.dim != b.dim:
         raise ShapeError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    na = math.sqrt(_dot(a.values, a.values))
-    nb = math.sqrt(_dot(b.values, b.values))
-    if na == 0.0 or nb == 0.0:
-        raise GeometryError("cosine is undefined for a zero vector")
-    den = na * nb
-    if not math.isfinite(den):
-        raise GeometryError(
-            f"cosine is undefined: the norm product {na!r} * {nb!r} overflows"
-        )
-    return _dot(a.values, b.values) / den
+    what = "cosine is undefined: an operand"
+    return _dot(a.values, b.values) / (
+        _norm(a.values, what, GeometryError) * _norm(b.values, what, GeometryError)
+    )
 
 
-def _norm(values, what: str) -> float:
-    """The norm :func:`cosine` takes of ``values``; DatabaseError naming
-    ``what`` when its sum of squares is 0 or overflows."""
+def _norm(values, what: str, error: type[Exception]) -> float:
+    """The norm of ``values``, the square root of their :func:`_dot`; an
+    ``error`` naming ``what`` when that sum of squares is 0, underflows to 0
+    or overflows."""
     squares = _dot(values, values)
     if squares == 0.0:
         if any(values):
-            raise DatabaseError(f"{what} has a squared norm that underflows to 0")
-        raise DatabaseError(f"{what} is the zero vector")
+            raise error(f"{what} has a squared norm that underflows to 0")
+        raise error(f"{what} is the zero vector")
     if squares == math.inf:
-        raise DatabaseError(f"{what} has a squared norm that overflows")
+        raise error(f"{what} has a squared norm that overflows")
     return math.sqrt(squares)
 
 
@@ -176,8 +175,8 @@ def build_index(entries) -> PoseDatabase:
     """Validate entries and freeze them into a queryable database.
 
     Entry order is preserved; it defines the tie-break order for queries.
-    An entry :func:`cosine` could not score (an embedding whose sum of
-    squares is 0 or overflows) is refused.
+    An entry :func:`cosine` could not score (an embedding :func:`_norm`
+    refuses) is refused.
     """
     entries = tuple(entries)
     if not entries:
@@ -192,29 +191,34 @@ def build_index(entries) -> PoseDatabase:
         else:
             seen.add(e.entry_id)
             continue
-        _index(entries[:i], dim)  # a fault in an earlier entry is named first
+        _index(entries[:i])  # a fault in an earlier entry is named first
         raise DatabaseError(fault)
-    return _index(entries, dim)
+    return _index(entries)
 
 
-def _index(entries, dim) -> PoseDatabase:
-    """The database over ``entries`` of one dimension ``dim``; DatabaseError
-    for the first entry :func:`cosine` could not normalise."""
+def _index(entries) -> PoseDatabase:
+    """The database over ``entries`` of one dimension; DatabaseError for the
+    first entry :func:`_norm` refuses."""
     matrix = np.array([e.embedding.values for e in entries], dtype=np.float64, order="F")
-    return _frozen(entries, dim, matrix)
+    return _frozen(
+        tuple(e.entry_id for e in entries),
+        tuple(e.label for e in entries),
+        tuple(e.pose_video_path for e in entries),
+        matrix,
+    )
 
 
-def _frozen(entries, dim, matrix) -> PoseDatabase:
-    """The database of ``entries`` over ``matrix``, their (N, dim) float64
-    column-major embeddings, made read-only; DatabaseError for the first row
-    :func:`cosine` could not normalise."""
+def _frozen(ids, labels, paths, matrix) -> PoseDatabase:
+    """The database of the columns ``ids``, ``labels``, ``paths`` and
+    ``matrix``, their (N, D) float64 column-major embeddings, made read-only;
+    DatabaseError for the first row :func:`_norm` refuses."""
     squares = _dots(matrix, matrix.T)
     for i in np.flatnonzero((squares == 0.0) | (squares == np.inf)):
-        _norm(matrix[i].tolist(), f"entry {entries[i].entry_id!r} embedding")
+        _norm(matrix[i].tolist(), f"entry {ids[i]!r} embedding", DatabaseError)
     norms = np.sqrt(squares)
     matrix.setflags(write=False)
     norms.setflags(write=False)
-    return PoseDatabase(entries=entries, dim=dim, matrix=matrix, norms=norms)
+    return PoseDatabase(ids=ids, labels=labels, paths=paths, matrix=matrix, norms=norms)
 
 
 def query(db: PoseDatabase, q: EmbeddingVector, k: int) -> list[tuple[str, float]]:
@@ -228,14 +232,13 @@ def query(db: PoseDatabase, q: EmbeddingVector, k: int) -> list[tuple[str, float
     """
     if q.dim != db.dim:
         raise DatabaseError(f"query dim {q.dim} does not match database dim {db.dim}")
-    nq = _norm(q.values, "query embedding")
+    nq = _norm(q.values, "query embedding", DatabaseError)
     if not 1 <= k <= len(db):
         raise DatabaseError(f"k must be in [1, {len(db)}], got {k}")
-    # a norm whose square passed is at most sqrt(max float) and at least the
-    # root of the least subnormal, so no norm product overflows or is 0
+    # norms that passed _norm multiply to a finite, nonzero float (see cosine)
     scores = _dots(db.matrix, q.values) / (db.norms * nq)
     order = np.argsort(-scores, kind="stable")[:k].tolist()
-    return list(zip([db.entries[i].entry_id for i in order], scores[order].tolist()))
+    return list(zip([db.ids[i] for i in order], scores[order].tolist()))
 
 
 # --- compiled index cache ------------------------------------------------------
@@ -262,10 +265,10 @@ def encode_index(db: PoseDatabase, key: str) -> tuple[bytes, bytes]:
     document."""
     doc = {
         "dim": db.dim,
-        "ids": [e.entry_id for e in db.entries],
-        "labels": [e.label for e in db.entries],
+        "ids": db.ids,
+        "labels": db.labels,
         "matrix_sha256": sha256_hex(db.matrix.T),  # hashlib needs C order
-        "paths": [e.pose_video_path for e in db.entries],
+        "paths": db.paths,
     }
     doc["sha256"] = _digest(key, doc)
     header = io.BytesIO()
@@ -298,10 +301,9 @@ def decode_index(key: str, npy: bytes, doc: bytes) -> PoseDatabase | None:
 
     The document must carry its own digest.  The matrix must be float64,
     column-major, of the stored shape and hash, and finite, and every row
-    must pass :func:`build_index`'s norm rule; ids, labels and paths must be
-    nonempty strings without unpaired surrogates, and the ids unique.
-    Entries hold read-only views of the matrix rows, which is a view of
-    ``npy``, as their embeddings.
+    must pass :func:`_norm`; ids, labels and paths must be nonempty strings
+    without unpaired surrogates, and the ids unique.  The database's matrix
+    is a read-only view of ``npy``.
     """
     try:
         doc = json.loads(doc)
@@ -332,18 +334,8 @@ def decode_index(key: str, npy: bytes, doc: bytes) -> PoseDatabase | None:
         and np.isfinite(matrix).all()
     ):
         return None
-    matrix.setflags(write=False)  # first: the row views inherit it
-    entries = tuple(
-        PoseDbEntry(
-            entry_id=entry_id,
-            label=label,
-            embedding=EmbeddingVector._view(row),
-            pose_video_path=path,
-        )
-        for entry_id, label, path, row in zip(ids, labels, paths, matrix)
-    )
     try:
-        return _frozen(entries, dim, matrix)
+        return _frozen(tuple(ids), tuple(labels), tuple(paths), matrix)
     except DatabaseError:
         return None
 

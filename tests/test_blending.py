@@ -15,13 +15,12 @@ from posedit import (
     SpatialMap,
     blend_step,
     parse_attention_stack,
-    resize_mask,
     run_blend_schedule_with_masks,
     threshold_mask,
 )
+from posedit.blending import resize_mask
 from conftest import read_fixture
 from oracles import (
-    blend_by_loops,
     grids_from_stack_doc,
     resize_by_loops,
     threshold_by_loops,

@@ -799,6 +799,34 @@ def test_metrics_overflowing_norm_exits_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "frame, fault",
+    [([0.0, -0.0], "is the zero vector"),
+     ([1e-200, 0.0], "has a squared norm that underflows to 0")],
+    ids=["zero", "underflowing"],
+)
+def test_metrics_names_a_frame_embedding_cosine_cannot_score(tmp_path, capsys, frame, fault):
+    case = {
+        "case_id": "c",
+        "edited": {"video_id": "edited", "video_embedding": embedding_node(1.0, 0.5),
+                   "frame_embeddings": [embedding_node(*frame)]},
+        "source": {"video_id": "source", "video_embedding": embedding_node(1.0, 1.0),
+                   "frame_embeddings": [embedding_node(1.0, 1.0)]},
+        "target_prompt_embedding": embedding_node(1.0, 0.5),
+        "source_prompt_embedding": embedding_node(0.0, 1.0),
+    }
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps([case]), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    (out_dir / "report.json").write_text("an earlier run", encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, "metrics", "--manifest", str(manifest), "--out-dir", str(out_dir)
+    )
+    assert (code, out, err) == (3, "", f"error: cosine is undefined: an operand {fault}\n")
+    assert tree_bytes(out_dir) == {"report.json": b"an earlier run"}
+
+
+@pytest.mark.parametrize(
     "slot, message",
     [
         ("source", "source frame dim 4 does not match the edited clip's 3"),
@@ -1140,6 +1168,17 @@ def read_json(path):
         return json.load(fh)
 
 
+def spread_below_float(keypoints):
+    """Show only the first two joints, at (0, 0) and (1e-300, 0): distinct
+    points whose centred squared spread underflows to 0."""
+    pin(keypoints[:1], (0.0, 0.0))
+    pin(keypoints[1:2], (1e-300, 0.0))
+    hide(keypoints[2:])
+
+
+UNDERFLOWING = "scale undefined: the usable moving points' squared spread underflows to 0"
+
+
 @given(st.sampled_from(sorted(COINCIDENT)), st.integers(min_value=2, max_value=17),
        OFFSETS, OFFSETS)
 def test_align_refuses_coincident_points_on_either_side(side, copies, dx, dy):
@@ -1204,3 +1243,34 @@ def test_edit_lists_a_person_with_coincident_points_as_unaligned(side, copies, d
         {"instance_id": inst_id, "reason": COINCIDENT[side]} for inst_id in unaligned
     ]
     assert sorted(map(int, entry["transforms"])) == sorted({0, 1} - set(unaligned))
+
+
+def test_align_names_a_moving_spread_that_underflows(tmp_path):
+    doc = json.loads(read_fixture("align", "moving.json"))
+    spread_below_float(first_keypoints(doc))
+    out_dir = tmp_path / "out"
+    code, out, err = main_with_strict_streams(
+        ["align", fixture_path("align", "fixed.json"),
+         write_json(str(tmp_path), "moving.json", doc), "--out-dir", str(out_dir)]
+    )
+    assert (code, out, err) == (3, "", f"error: {UNDERFLOWING}\n")
+    assert not out_dir.exists()
+
+
+def test_edit_lists_people_against_an_underflowing_spread_as_unaligned(tmp_path):
+    bundle = tmp_path / "bundle"
+    shutil.copytree(fixture_path("e2e_duo_wave"), bundle)
+    clips = str(bundle / "db" / "clips")
+    clip = read_json(os.path.join(clips, "wave_01.json"))
+    spread_below_float(first_keypoints(clip))
+    write_json(clips, "wave_01.json", clip)
+    out_dir = tmp_path / "out"
+    code, out, err = main_with_strict_streams(
+        ["edit", "--config", str(bundle / "config.json"), "--out-dir", str(out_dir)]
+    )
+    assert code == 0, err
+    entry = load_out(out_dir, "report.json")["retrieved"][0]
+    assert entry["unaligned"] == [
+        {"instance_id": inst_id, "reason": UNDERFLOWING} for inst_id in (0, 1)
+    ]
+    assert entry["transforms"] == {}

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from posedit import (
-    DdimSchedule,
     GeometryError,
     LatentState,
     ShapeError,

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -23,9 +22,9 @@ from posedit import (
     parse_detections,
     parse_pose_video,
     out_of_bounds_detections,
-    resample_indices,
     resample_video,
 )
+from posedit.editor import resample_indices
 from conftest import ANY_COORDINATES, columns, pose_video, ragged_videos, read_fixture
 from oracles import greedy_pairs_by_rescan
 

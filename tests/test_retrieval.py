@@ -139,6 +139,8 @@ def test_cosine_refuses_a_norm_product_that_overflows():
         cosine(vec(1e200, 1.0), vec(1.0, 1.0))
     with pytest.raises(GeometryError, match="overflows"):
         cosine(vec(1e100, 1.0), vec(1e300, 1.0))
+    with pytest.raises(GeometryError, match="squared norm that underflows to 0"):
+        cosine(vec(1.0, 1.0), vec(1e-200, 0.0))
 
 
 @pytest.mark.parametrize(
@@ -346,6 +348,35 @@ def test_query_scores_the_largest_and_smallest_norms_a_database_holds():
     rows = [[big], [-tiny], [tiny], [-big]]
     for q_values in ([big], [tiny], [-tiny]):
         assert_matches_oracle(rows, q_values, 4)
+
+
+# magnitudes from 1e-170 to 1e170, subnormals, and the largest whose square is
+# finite: squares that underflow, overflow or neither, and products of norms
+# near both ends of the float range
+MAGNITUDES = st.one_of(
+    st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 9.99), st.integers(-170, 169)),
+    st.floats(min_value=5e-324, max_value=2.2250738585072014e-308),
+    st.just(math.sqrt(sys.float_info.max)),
+)
+SIGNED = st.one_of(
+    st.builds(lambda m, negative: -m if negative else m, MAGNITUDES, st.booleans()),
+    st.just(0.0),
+)
+
+
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda n: st.tuples(*[st.lists(SIGNED, min_size=n, max_size=n)] * 2)
+    )
+)
+def test_cosine_refuses_exactly_a_zero_norm_or_an_infinite_norm_product(pair):
+    a, b = pair
+    na, nb = (math.sqrt(left_to_right(v * v for v in x)) for x in pair)
+    if na == 0.0 or nb == 0.0 or not math.isfinite(na * nb):
+        with pytest.raises(GeometryError, match="cosine is undefined: an operand"):
+            cosine(vec(*a), vec(*b))
+    else:
+        assert same_float(cosine(vec(*a), vec(*b)), cosine_by_sums(a, b))
 
 
 def test_embedding_vector_validations():
