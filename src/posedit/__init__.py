@@ -64,7 +64,6 @@ from .pose_model import (
     PoseInstance,
     PoseVideo,
     keypoint_bbox,
-    out_of_frame_indices,
     parse_pose_video,
     serialize_pose_video,
 )

@@ -283,10 +283,6 @@ def resize_mask(m: Mask, h2: int, w2: int) -> Mask:
     return Mask._view(m.bits[np.ix_([int(r) for r in rows], [int(c) for c in cols])])
 
 
-def _mask_union(a: Mask, b: Mask) -> Mask:
-    return Mask._view(np.maximum(a.bits, b.bits))
-
-
 def run_blend_schedule_with_masks(
     stack: AttentionStack,
     token_set,
@@ -315,7 +311,7 @@ def run_blend_schedule_with_masks(
                 resized_initial = resize_mask(
                     initial, record.denoise_self.h, record.denoise_self.w
                 )
-                mask = _mask_union(mask, resized_initial)
+                mask = Mask._view(np.maximum(mask.bits, resized_initial.bits))
         out.append(
             (record.step, mask, blend_step(mask, record.denoise_self, record.inversion_self))
         )

@@ -18,7 +18,6 @@ writes any under --out-dir, and writes manifest.json, naming them, last.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import pipeline
@@ -32,12 +31,11 @@ def _load_config_file(path: str) -> dict:
     except StageError as exc:  # a config it cannot read is a usage error: exit 2
         raise ParseError(f"cannot read config {path}: {exc.__cause__}") from exc.__cause__
     values = parse_pipeline_config(text)
-    base = os.path.dirname(os.path.abspath(path))
     for key in PATH_FIELDS:
         value = values.get(key)
         # "" and non-strings go on unresolved, for PipelineConfig to refuse
-        if isinstance(value, str) and value and not os.path.isabs(value):
-            values[key] = os.path.join(base, value)
+        if isinstance(value, str) and value:
+            values[key] = pipeline._beside(path, value)
     return values
 
 

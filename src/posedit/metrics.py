@@ -92,28 +92,24 @@ def vid_acc(cases) -> float:
     return sum(1 for c in cases if prompt_hit(c)) / len(cases)
 
 
-def _mean_frame_cosine(a: VideoEmbeddingRecord, b: VideoEmbeddingRecord) -> float:
-    if a.frame_count != b.frame_count:
-        raise ShapeError(
-            f"frame count mismatch: {a.video_id!r} has {a.frame_count}, "
-            f"{b.video_id!r} has {b.frame_count}"
-        )
-    total = 0.0
-    for ea, eb in zip(a.frame_embeddings, b.frame_embeddings):
-        total += cosine(ea, eb)
-    return total / a.frame_count
-
-
 def vid_con(edited: VideoEmbeddingRecord, source: VideoEmbeddingRecord) -> float:
     """Mean frame-wise cosine between edited and source frame embeddings."""
-    return _mean_frame_cosine(edited, source)
+    if edited.frame_count != source.frame_count:
+        raise ShapeError(
+            f"frame count mismatch: {edited.video_id!r} has {edited.frame_count}, "
+            f"{source.video_id!r} has {source.frame_count}"
+        )
+    total = 0.0
+    for ea, eb in zip(edited.frame_embeddings, source.frame_embeddings):
+        total += cosine(ea, eb)
+    return total / edited.frame_count
 
 
 def gt_con(edited: VideoEmbeddingRecord, ground_truth: VideoEmbeddingRecord | None) -> float:
-    """Mean frame-wise cosine against the ground-truth clip."""
+    """Mean frame-wise cosine against the ground-truth clip, by :func:`vid_con`."""
     if ground_truth is None:
         raise ValueError("gt_con requires a ground-truth record")
-    return _mean_frame_cosine(edited, ground_truth)
+    return vid_con(edited, ground_truth)
 
 
 # --- manifest parsing -------------------------------------------------------------

@@ -143,6 +143,12 @@ def _read(path: str) -> str:
     return _decode(path, _load(path))
 
 
+def _beside(owner: str, path: str) -> str:
+    """``path``, named inside the file ``owner``, resolved against that
+    file's directory; an absolute ``path`` stays as it is."""
+    return os.path.join(os.path.dirname(os.path.abspath(owner)), path)
+
+
 def _atomic_write(directory: str, name: str, data) -> str:
     """Write ``data`` (bytes, or a str written as UTF-8) to a temp file in
     ``directory``, made if missing, then rename it to ``name``, so no reader
@@ -281,6 +287,23 @@ def _transform_doc(tr: SimilarityTransform2D) -> dict:
     }
 
 
+def _ranking(db: PoseDatabase, q, top_k: int) -> list[dict]:
+    """The first ``top_k`` entries (all, when there are fewer) that
+    :func:`query` ranks against ``q``, best first, as ``rank``, ``entry_id``,
+    ``label``, ``score`` and ``pose_video_path`` (verbatim) rows."""
+    row = {entry_id: i for i, entry_id in enumerate(db.ids)}
+    return [
+        {
+            "rank": rank,
+            "entry_id": entry_id,
+            "label": db.labels[row[entry_id]],
+            "score": score,
+            "pose_video_path": db.paths[row[entry_id]],
+        }
+        for rank, (entry_id, score) in enumerate(query(db, q, min(top_k, len(db))), start=1)
+    ]
+
+
 # One element of a top-level "steps" array exactly as _dump lays it out
 # (indent=2, sorted keys), with %s for an array's items joined by _ITEMS.
 # json.dumps runs its pure-Python encoder whenever indent is set, one call
@@ -376,19 +399,7 @@ def run_retrieve(config: PipelineConfig) -> dict:
     db_path = _needed(config.db, "--db")
     q_path = _needed(config.query_embedding, "--query-embedding")
     db = _database(db_path)
-    q = parse_embedding(_read(q_path))
-    ranked = query(db, q, min(config.top_k, len(db)))
-    row = {entry_id: i for i, entry_id in enumerate(db.ids)}
-    ranking = [
-        {
-            "rank": i + 1,
-            "entry_id": entry_id,
-            "label": db.labels[row[entry_id]],
-            "score": score,
-            "pose_video_path": db.paths[row[entry_id]],
-        }
-        for i, (entry_id, score) in enumerate(ranked)
-    ]
+    ranking = _ranking(db, parse_embedding(_read(q_path)), config.top_k)
     names = _publish(
         out_dir, {"retrieval.json": _dump("retrieval.json", {"ranking": ranking})}
     )
@@ -455,39 +466,31 @@ def run_edit(config: PipelineConfig) -> dict:
     working = resample_video(source, config.frame_count)
     assignment = assign_detections(dset, working, config.iou_threshold)
 
-    ranked = query(db, q, min(config.top_k, len(db)))
-    row = {entry_id: i for i, entry_id in enumerate(db.ids)}
-    db_dir = os.path.dirname(os.path.abspath(db_path))
+    ranking = _ranking(db, q, config.top_k)
 
     files = {}
-    per_entry = []
     clips = {}  # resolved path -> parsed clip: entries may share a clip file
-    for i, (entry_id, score) in enumerate(ranked):
-        video_path = os.path.join(db_dir, db.paths[row[entry_id]])  # kept if absolute
+    for entry_doc in ranking:
+        video_path = _beside(db_path, entry_doc.pop("pose_video_path"))
         key = os.path.realpath(video_path)
         if key not in clips:
             clips[key] = parse_pose_video(_read(video_path))
         retrieved = clips[key]
         transforms, unaligned = alignment_transforms(working, assignment, retrieved)
         edited = edit_pose_video(working, assignment, retrieved, transforms)
-        out_name = "edited.json" if len(ranked) == 1 else f"edited_{i + 1:02d}.json"
+        out_name = (
+            "edited.json" if len(ranking) == 1 else f"edited_{entry_doc['rank']:02d}.json"
+        )
         files[out_name] = serialize_pose_video(edited)
-        entry_doc = {
-            "rank": i + 1,
-            "entry_id": entry_id,
-            "label": db.labels[row[entry_id]],
-            "score": score,
-            "output": out_name,
-            "transforms": {
-                str(inst_id): _transform_doc(tr) for inst_id, tr in sorted(transforms.items())
-            },
+        entry_doc["output"] = out_name
+        entry_doc["transforms"] = {
+            str(inst_id): _transform_doc(tr) for inst_id, tr in sorted(transforms.items())
         }
         if unaligned:
             entry_doc["unaligned"] = [
                 {"instance_id": inst_id, "reason": reason}
                 for inst_id, reason in sorted(unaligned.items())
             ]
-        per_entry.append(entry_doc)
 
     report = {
         "answer": {"subject": answer.subject, "action": answer.action},
@@ -507,7 +510,7 @@ def run_edit(config: PipelineConfig) -> dict:
         "out_of_bounds_detections": list(
             out_of_bounds_detections(dset, source.width, source.height)
         ),
-        "retrieved": per_entry,
+        "retrieved": ranking,
     }
     if not assignment.pairs:
         report["note"] = "no individuals matched"
@@ -603,10 +606,8 @@ def run_metrics(config: PipelineConfig) -> dict:
     """Evaluate every manifest case; write machine- and human-readable reports."""
     out_dir = _needed(config.out_dir, "--out-dir")
     manifest_path = _needed(config.manifest, "--manifest")
-    base_dir = os.path.dirname(os.path.abspath(manifest_path))
-    # sidecar paths resolve against the manifest; absolute ones stay as given
     cases = parse_metric_cases(
-        _read(manifest_path), lambda ref: _read(os.path.join(base_dir, ref))
+        _read(manifest_path), lambda ref: _read(_beside(manifest_path, ref))
     )
 
     per_case = []

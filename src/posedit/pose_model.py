@@ -46,9 +46,9 @@ equal videos serialize byte-identically, and re-serializing a parsed document
 is idempotent after one canonicalization pass.
 
 Visible keypoints outside the frame rectangle are accepted by the parser
-(aligned poses may legitimately leave the frame); they can be enumerated with
-:func:`out_of_frame_indices` and are treated like any other visible keypoint
-by geometry operations.
+(aligned poses may legitimately leave the frame), kept through
+serialization, and treated like any other visible keypoint by geometry
+operations.
 """
 
 from __future__ import annotations
@@ -273,22 +273,6 @@ def keypoint_bbox(video: PoseVideo, row: int) -> BoundingBox:
         )
     (x_min, y_min), (x_max, y_max) = points.min(axis=0).tolist(), points.max(axis=0).tolist()
     return BoundingBox(x_min, y_min, x_max, y_max)
-
-
-def out_of_frame_indices(video: PoseVideo) -> tuple[tuple[int, int, int], ...]:
-    """Visible keypoints lying outside ``[0, width] x [0, height]``.
-
-    Returns ``(frame_index, instance_id, joint_index)`` triples in frame,
-    instance and joint order; an empty tuple means every visible keypoint is
-    inside the frame rectangle.
-    """
-    x, y = video.xy[..., 0], video.xy[..., 1]
-    inside = (0.0 <= x) & (x <= video.width) & (0.0 <= y) & (y <= video.height)
-    rows, joints = np.nonzero(video.visible & ~inside)
-    frame_of_row = np.repeat(video.frame_index, np.diff(video.offsets))
-    return tuple(
-        zip(frame_of_row[rows].tolist(), video.instance_id[rows].tolist(), joints.tolist())
-    )
 
 
 # --- parsing -----------------------------------------------------------------

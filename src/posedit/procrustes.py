@@ -77,10 +77,6 @@ class SimilarityTransform2D:
         if not math.isfinite(self.theta):
             raise GeometryError("theta must be finite")
 
-    @classmethod
-    def identity(cls) -> "SimilarityTransform2D":
-        return cls(scale=1.0, theta=0.0, translation=(0.0, 0.0))
-
     def apply(self, points: np.ndarray) -> np.ndarray:
         """Map an (n, 2) array of coordinates through the transform,
         elementwise: a point's bits do not depend on n."""

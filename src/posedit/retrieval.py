@@ -16,7 +16,9 @@ checking them, so a manifest need be parsed only once.
 
 Embeddings arrive from files, and those files, the cache's included, are
 read and written by :mod:`posedit.pipeline`: this module computes no
-embedding and touches no file.
+embedding and touches no file.  Every :class:`EmbeddingVector` holds its
+components as one tuple of floats, whether a parser or the constructor
+built it.
 """
 
 from __future__ import annotations
@@ -35,23 +37,9 @@ from .errors import DatabaseError, GeometryError, ParseError, ShapeError
 
 @dataclass(frozen=True)
 class EmbeddingVector:
-    """A nonempty vector of finite floats.
-
-    ``values`` is a tuple, except in the entries :func:`parse_db_manifest`
-    returns: those keep each validated row as the list it was parsed into,
-    which nothing writes to.  Equality and hashing go by the values either
-    way.
-    """
+    """A nonempty vector of finite floats; ``values`` is a tuple."""
 
     values: tuple[float, ...]
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return tuple(self.values) == tuple(other.values)
-
-    def __hash__(self):
-        return hash(tuple(self.values))
 
     @classmethod
     def _view(cls, values):
@@ -377,7 +365,7 @@ def parse_db_manifest(text: str) -> list[PoseDbEntry]:
                 entry_id=string(node["entry_id"], path, "entry_id", nonempty=True),
                 label=string(node["label"], path, "label", nonempty=True),
                 embedding=EmbeddingVector._view(
-                    reals(node["embedding"], path, "embedding", nonempty=True)
+                    tuple(reals(node["embedding"], path, "embedding", nonempty=True))
                 ),
                 pose_video_path=string(
                     node["pose_video_path"], path, "pose_video_path", nonempty=True

@@ -384,7 +384,8 @@ def test_db_manifest_rows_are_floats():
     rows = [list(e.embedding.values) for e in entries]
     assert rows == [[0.5, 1.0, -2.0], [0.5, 1.0, -3.0], [0.5, 1.0, -4.0]]
     assert {type(v) for row in rows for v in row} == {float}
-    # a row kept as parsed still equals, and hashes like, the same values built
+    # one embedding form: a parsed row is a tuple, equal to and hashing like one built
+    assert {type(e.embedding.values) for e in entries} == {tuple}
     built = EmbeddingVector(values=(0.5, 1, -2))
     assert entries[0].embedding == built and hash(entries[0].embedding) == hash(built)
     assert entries[1].embedding != built

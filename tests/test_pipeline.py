@@ -455,6 +455,34 @@ def test_run_edit_top_k_writes_numbered_outputs(tmp_path):
     )
 
 
+RETRIEVAL_DB = {
+    "db": fixture_path("retrieval", "db_manifest.json"),
+    "query_embedding": fixture_path("retrieval", "query.json"),
+}
+
+
+@pytest.mark.parametrize(
+    "bundle, overrides",
+    [("e2e_girl_dance", {**RETRIEVAL_DB, "top_k": k}) for k in range(1, 6)]
+    + [(bundle, {}) for bundle in ("e2e_girl_dance", "e2e_boy_sit", "e2e_duo_wave")],
+)
+def test_retrieve_and_edit_rank_alike(tmp_path, bundle, overrides):
+    cfg = bundle_config(bundle, tmp_path / "edit", **overrides)
+    run_edit(cfg)
+    run_retrieve(bundle_config(bundle, tmp_path / "retrieve", **overrides))
+    ranking = load_out(tmp_path / "retrieve", "retrieval.json")["ranking"]
+    retrieved = load_out(tmp_path / "edit", "report.json")["retrieved"]
+    keys = ("rank", "entry_id", "label", "score")
+    assert [{k: r[k] for k in keys} for r in ranking] == [
+        {k: r[k] for k in keys} for r in retrieved
+    ]
+    assert len(ranking) == cfg.top_k and all("pose_video_path" not in r for r in retrieved)
+    # the database's own spelling of each path, not the resolved one
+    with open(cfg.db, "r", encoding="utf-8") as fh:
+        paths = {e["entry_id"]: e["pose_video_path"] for e in json.load(fh)}
+    assert [r["pose_video_path"] for r in ranking] == [paths[r["entry_id"]] for r in ranking]
+
+
 @pytest.mark.parametrize(
     "field", ["source", "detections", "answer", "db", "query_embedding", "out_dir"]
 )

@@ -16,7 +16,6 @@ from posedit import (
     alignment_transforms,
     edit_pose_video,
     keypoint_bbox,
-    out_of_frame_indices,
     parse_pose_video,
     resample_video,
     serialize_pose_video,
@@ -267,7 +266,6 @@ def test_array_paths_build_no_views(monkeypatch):
     transforms, _ = alignment_transforms(working, assignment, retrieved)
     edited = edit_pose_video(working, assignment, retrieved, transforms)
     serialize_pose_video(edited)
-    out_of_frame_indices(edited)
     keypoint_bbox(edited, 0)
     assert reads == []
     # the walk perfbench/tracing.py makes over every parsed video
@@ -406,15 +404,8 @@ def test_keypoint_bbox_requires_a_visible_point():
         keypoint_bbox(video, 1)
 
 
-def test_out_of_frame_indices_flags_escaped_keypoints():
-    video = parse_pose_video(read_fixture("pose_corpus", "out_of_frame.json"))
-    flagged = out_of_frame_indices(video)
-    assert (0, 0, 0) in flagged
-    assert isinstance(flagged, tuple)
-    for _, _, joint in flagged:
-        assert 0 <= joint < len(video.skeleton)
-
-
-def test_out_of_frame_ignores_invisible_points():
-    video = pose_video(1, 1, ("a", "b"), [(0, [(0, [(-5.0, 0.5, False), (0.5, 0.5, True)])])])
-    assert out_of_frame_indices(video) == ()
+def test_a_visible_keypoint_outside_the_frame_is_kept():
+    text = read_fixture("pose_corpus", "out_of_frame.json")
+    video = parse_pose_video(text)
+    assert video.visible[0, 0] and video.xy[0, 0].tolist() == [-12.5, 41.340259]
+    assert serialize_pose_video(video) == text

@@ -25,6 +25,9 @@ def kps(points, mask=None):
     return KeypointSet(points=points, mask=np.asarray(mask, dtype=bool))
 
 
+IDENTITY = SimilarityTransform2D(scale=1.0, theta=0.0, translation=(0.0, 0.0))
+
+
 def transformed(points, scale, theta, t):
     tr = SimilarityTransform2D(scale=scale, theta=theta, translation=(float(t[0]), float(t[1])))
     return tr.apply(np.asarray(points, dtype=np.float64))
@@ -145,9 +148,8 @@ def test_length_mismatch_is_a_shape_error():
     b = kps(np.zeros((4, 2)))
     with pytest.raises(ShapeError):
         solve_similarity(a, b)
-    tr = SimilarityTransform2D.identity()
     with pytest.raises(ShapeError):
-        residual(tr, a, b)
+        residual(IDENTITY, a, b)
 
 
 def test_residual_refuses_a_sum_that_overflows():
@@ -161,7 +163,7 @@ def test_residual_refuses_a_sum_that_overflows():
 def test_empty_usable_set_has_zero_residual():
     pts = np.array([[1.0, 2.0], [3.0, 4.0]])
     none = [False, False]
-    assert residual(SimilarityTransform2D.identity(), kps(pts, none), kps(pts, none)) == 0.0
+    assert residual(IDENTITY, kps(pts, none), kps(pts, none)) == 0.0
 
 
 def test_transform_rejects_non_positive_scale():
@@ -298,7 +300,7 @@ def test_apply_transform_moves_only_visible_keypoints():
 
 def test_apply_transform_identity_is_a_no_op_on_coordinates():
     video = small_video()
-    out = apply_transform(SimilarityTransform2D.identity(), video)
+    out = apply_transform(IDENTITY, video)
     assert out == video
 
 
