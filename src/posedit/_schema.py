@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 
-from .errors import ParseError
+from .errors import ParseError, ShapeError
 
 _NUMBER_TYPES = {int, float}
 
@@ -48,6 +48,16 @@ def name(path, *keys) -> str:
         else:
             path = f"{path}.{key}"
     return path
+
+
+def construct(cls, path, /, **fields):
+    """``cls(**fields)``, with a :class:`ShapeError` the constructor raises
+    turned into a ``ParseError`` naming ``path``: a parser's checks ran, but
+    the parsed values do not fit together."""
+    try:
+        return cls(**fields)
+    except ShapeError as exc:
+        raise ParseError(f"{name(path)}: {exc}") from exc
 
 
 def obj(node, path, *keys, required=(), optional=()) -> dict:

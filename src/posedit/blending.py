@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._schema import array, integer, load_json, obj, reals
+from ._schema import array, construct, integer, load_json, obj, reals
 from .errors import GeometryError, ParseError, ShapeError
 
 BLEND_RATIO_DEFAULT = 0.3
@@ -335,10 +335,7 @@ def _parse_map(node, path) -> SpatialMap:
 def _parse_cross(node, path) -> CrossAttentionMap:
     array(node, path, nonempty=True)
     maps = tuple(_parse_map(m, f"{path}[{i}]") for i, m in enumerate(node))
-    try:
-        return CrossAttentionMap(maps=maps)
-    except ShapeError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    return construct(CrossAttentionMap, path, maps=maps)
 
 
 def parse_attention_stack(text: str) -> AttentionStack:
@@ -353,19 +350,15 @@ def parse_attention_stack(text: str) -> AttentionStack:
         path = f"steps[{i}]"
         obj(node, path, required=("step", "c_inv", "s_inv", "c_den", "s_den"))
         step = integer(node["step"], path, "step", minimum=1)
-        try:
-            records.append(
-                BlendStepRecord(
-                    step=step,
-                    inversion_cross=_parse_cross(node["c_inv"], f"{path}.c_inv"),
-                    inversion_self=_parse_map(node["s_inv"], f"{path}.s_inv"),
-                    denoise_cross=_parse_cross(node["c_den"], f"{path}.c_den"),
-                    denoise_self=_parse_map(node["s_den"], f"{path}.s_den"),
-                )
+        records.append(
+            construct(
+                BlendStepRecord,
+                path,
+                step=step,
+                inversion_cross=_parse_cross(node["c_inv"], f"{path}.c_inv"),
+                inversion_self=_parse_map(node["s_inv"], f"{path}.s_inv"),
+                denoise_cross=_parse_cross(node["c_den"], f"{path}.c_den"),
+                denoise_self=_parse_map(node["s_den"], f"{path}.s_den"),
             )
-        except ShapeError as exc:
-            raise ParseError(f"{path}: {exc}") from exc
-    try:
-        return AttentionStack(steps=tuple(records))
-    except ShapeError as exc:
-        raise ParseError(f"steps: {exc}") from exc
+        )
+    return construct(AttentionStack, "steps", steps=tuple(records))

@@ -22,6 +22,7 @@ from .procrustes import (
     KeypointSet,
     SimilarityTransform2D,
     apply_transform,
+    map_finite,
     solve_similarity,
 )
 
@@ -205,9 +206,10 @@ def alignment_transforms(
 
     Returns ``(transforms, unaligned)``.  An instance whose alignment
     :func:`solve_similarity` cannot solve (e.g. fewer than 2 usable joints
-    shared with the retrieved first frame) is left out of ``transforms`` and
-    mapped to that :class:`GeometryError`'s text in ``unaligned``, so one
-    degenerate person does not stop the others' edit.
+    shared with the retrieved first frame), or whose transform carries a
+    visible retrieved keypoint past the float range, is left out of
+    ``transforms`` and mapped to that :class:`GeometryError`'s text in
+    ``unaligned``, so one degenerate person does not stop the others' edit.
     """
     if not assignment.pairs:
         return {}, {}
@@ -219,6 +221,7 @@ def alignment_transforms(
     first_ids = source.instance_id[: source.offsets[1]].tolist()
     first = {inst_id: row for row, inst_id in enumerate(first_ids)}  # id -> row
     moving = KeypointSet(points=retrieved.xy[0], mask=retrieved.visible[0])
+    donor = retrieved.xy[retrieved.visible]
     transforms, unaligned = {}, {}
     for _, inst_id in assignment.pairs:
         if inst_id not in first:
@@ -228,7 +231,9 @@ def alignment_transforms(
         row = first[inst_id]
         fixed = KeypointSet(points=source.xy[row], mask=source.visible[row])
         try:
-            transforms[inst_id] = solve_similarity(fixed, moving)
+            tr = solve_similarity(fixed, moving)
+            map_finite(tr, donor)  # edit_pose_video's apply_transform cannot fail
+            transforms[inst_id] = tr
         except GeometryError as exc:
             unaligned[inst_id] = str(exc)
     return transforms, unaligned

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._schema import array, load_json, name, obj, string
+from ._schema import array, construct, load_json, name, obj, string
 from .errors import ParseError, ShapeError
 from .retrieval import EmbeddingVector, cosine, embedding_from_node
 
@@ -138,12 +138,13 @@ def _record_from_node(node, where: tuple) -> VideoEmbeddingRecord:
         embedding_from_node(fn, (*where, "frame_embeddings", i))
         for i, fn in enumerate(frames_node)
     )
-    try:
-        return VideoEmbeddingRecord(
-            video_id=video_id, video_embedding=video_embedding, frame_embeddings=frames
-        )
-    except ShapeError as exc:
-        raise ParseError(f"{name(where)}: {exc}") from exc
+    return construct(
+        VideoEmbeddingRecord,
+        where,
+        video_id=video_id,
+        video_embedding=video_embedding,
+        frame_embeddings=frames,
+    )
 
 
 def parse_metric_cases(text: str, read_file) -> list[MetricCase]:
@@ -182,17 +183,16 @@ def parse_metric_cases(text: str, read_file) -> list[MetricCase]:
         ground_truth = None
         if "ground_truth" in node:
             ground_truth = _slot(node, path, "ground_truth", read_file, _record_from_node)
-        try:
-            cases.append(
-                MetricCase(
-                    case_id=case_id,
-                    edited=edited,
-                    source=source,
-                    target_prompt_embedding=target_pe,
-                    source_prompt_embedding=source_pe,
-                    ground_truth=ground_truth,
-                )
+        cases.append(
+            construct(
+                MetricCase,
+                path,
+                case_id=case_id,
+                edited=edited,
+                source=source,
+                target_prompt_embedding=target_pe,
+                source_prompt_embedding=source_pe,
+                ground_truth=ground_truth,
             )
-        except ShapeError as exc:
-            raise ParseError(f"{path}: {exc}") from exc
+        )
     return cases

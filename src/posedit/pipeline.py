@@ -221,10 +221,11 @@ def _database(path: str) -> PoseDatabase:
 
 
 def _dump(name: str, doc) -> str:
-    """``doc`` as the JSON text of the output file ``name``; a value JSON
-    cannot hold (NaN, an infinity) is refused rather than written."""
+    """``doc`` as the JSON text of the output file ``name``: one line, sorted
+    keys, no spaces, then a newline.  A value JSON cannot hold (NaN, an
+    infinity) is refused rather than written."""
     try:
-        return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
     except ValueError as exc:
         raise StageError(f"cannot write {name}: {exc}") from exc
 
@@ -304,50 +305,16 @@ def _ranking(db: PoseDatabase, q, top_k: int) -> list[dict]:
     ]
 
 
-# One element of a top-level "steps" array exactly as _dump lays it out
-# (indent=2, sorted keys), with %s for an array's items joined by _ITEMS.
-# json.dumps runs its pure-Python encoder whenever indent is set, one call
-# per number; the template joins the reprs json would write in one pass.
-_STEP = """\
-    {
-      "mask": {
-        "bits": [
-          %s
-        ],
-        "h": %r,
-        "w": %r
-      },
-      "s_edit": {
-        "h": %r,
-        "values": [
-          %s
-        ],
-        "w": %r
-      },
-      "step": %r
-    }"""
-_ITEMS = ",\n          "
-
-
-def _dump_steps(doc: dict, records) -> str:
-    """``_dump`` of ``doc`` plus a ``"steps"`` array of a blend schedule's
-    ``(step, mask, s_edit)`` records, each rendered by ``_STEP`` (a schedule
-    is never empty, nor are its grids)."""
-    steps = ",\n".join(
-        _STEP
-        % (
-            _ITEMS.join(map(repr, mask.bits.ravel().tolist())),
-            mask.h,
-            mask.w,
-            s_edit.h,
-            _ITEMS.join(map(repr, s_edit.values.ravel().tolist())),
-            s_edit.w,
-            step,
-        )
+def _step_docs(records) -> list[dict]:
+    """A blend schedule's ``(step, mask, s_edit)`` records as documents."""
+    return [
+        {
+            "step": step,
+            "mask": {"h": mask.h, "w": mask.w, "bits": mask.bits.ravel().tolist()},
+            "s_edit": {"h": s_edit.h, "w": s_edit.w, "values": s_edit.values.ravel().tolist()},
+        }
         for step, mask, s_edit in records
-    )
-    head = _dump("steps document", {**doc, "steps": []})
-    return head.replace('"steps": []', f'"steps": [\n{steps}\n  ]', 1)
+    ]
 
 
 # --- commands ---------------------------------------------------------------------
@@ -535,8 +502,9 @@ def run_blend_demo(config: PipelineConfig) -> dict:
         "ratio": config.blend_ratio,
         "tokens": list(config.tokens),
         "union_initial_mask": config.union_initial_mask,
+        "steps": _step_docs(records),
     }
-    names = _publish(out_dir, {"blended.json": _dump_steps(doc, records)})
+    names = _publish(out_dir, {"blended.json": _dump("blended.json", doc)})
     return {"steps": len(records), "outputs": names}
 
 
@@ -596,7 +564,7 @@ def run_ddim_demo(config: PipelineConfig) -> dict:
         {
             "schedule.json": _dump("schedule.json", schedule),
             "round_trip.json": _dump("round_trip.json", round_trip),
-            "blend_log.json": _dump_steps({}, blended),
+            "blend_log.json": _dump("blend_log.json", {"steps": _step_docs(blended)}),
         },
     )
     return {"max_abs_error": round_trip_error, "outputs": names}

@@ -176,11 +176,17 @@ def apply_transform(tr: SimilarityTransform2D, video: PoseVideo) -> PoseVideo:
     preserved.  Raises :class:`GeometryError` when a mapped coordinate
     overflows to infinity.
     """
+    xy = video.xy.copy()
+    xy[video.visible] = map_finite(tr, video.xy[video.visible])
+    return video._replace(xy=xy)
+
+
+def map_finite(tr: SimilarityTransform2D, points: np.ndarray) -> np.ndarray:
+    """``tr.apply(points)``; :class:`GeometryError` when a mapped coordinate
+    overflows to infinity."""
     # overflow is reported below as a GeometryError, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
-        mapped = tr.apply(video.xy[video.visible])
+        mapped = tr.apply(points)
     if not np.isfinite(mapped).all():
         raise GeometryError("aligned keypoint coordinates overflow the float range")
-    xy = video.xy.copy()
-    xy[video.visible] = mapped
-    return video._replace(xy=xy)
+    return mapped

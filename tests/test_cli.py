@@ -4,6 +4,7 @@ import filecmp
 import io
 import json
 import os
+import re
 import shlex
 import shutil
 import subprocess
@@ -18,6 +19,7 @@ from hypothesis import given, strategies as st
 from posedit import PipelineConfig, pipeline
 from posedit.cli import build_parser, main
 from conftest import fixture_path, joints_reversed, read_fixture
+from test_acceptance import cli_fixture_commands
 
 
 def run_cli(capsys, *argv):
@@ -568,6 +570,55 @@ def test_edit_skips_a_person_it_cannot_align_and_edits_the_others(tmp_path, caps
         assert got["instances"][-1] == src["instances"][-1]  # passed through
 
 
+def keypoints(*points):
+    return [{"x": x, "y": y, "visible": True, "confidence": 1.0} for x, y in points]
+
+
+def test_edit_skips_a_person_whose_aligned_clip_overflows_and_edits_the_others(
+    tmp_path, capsys
+):
+    # person 1's alignment solves to a finite scale of about 1e250, which
+    # carries the clip's frame-1 joint at x = 1e60 past the float range
+    def video(frames):
+        return {"width": 200, "height": 200, "skeleton": ["a", "b", "c"],
+                "frames": [{"frame_index": i, "instances": instances}
+                           for i, instances in enumerate(frames)]}
+
+    people = [keypoints((10, 10), (20, 10), (10, 20)),
+              keypoints((100, 100), (1e150, 100), (100, 1e150))]
+    clip = [keypoints((0, 0), (1e-100, 0), (0, 1e-100))] + 2 * [
+        keypoints((0, 0), (1e60, 0), (0, 1))]
+    (tmp_path / "source.json").write_text(json.dumps(video(
+        [[{"instance_id": i, "keypoints": kps} for i, kps in enumerate(people)]])))
+    (tmp_path / "clip.json").write_text(json.dumps(video(
+        [[{"instance_id": 0, "keypoints": kps}] for kps in clip])))
+    (tmp_path / "db.json").write_text(json.dumps([{
+        "entry_id": "e", "label": "wave", "embedding": [1.0, 0.0],
+        "pose_video_path": "clip.json"}]))
+    (tmp_path / "query.json").write_text(json.dumps({"dim": 2, "values": [1.0, 0.0]}))
+    (tmp_path / "answer.txt").write_text("subject: the two\naction: wave\n")
+    boxes = [[10, 10, 20, 20], [100, 100, 1e150, 1e150]]
+    outs = {}
+    for name, dets in (("both", boxes), ("first", boxes[:1])):
+        (tmp_path / f"{name}.json").write_text(json.dumps({"frame_index": 0, "detections": [
+            {"phrase": f"person {i}", "box": box, "score": 0.9} for i, box in enumerate(dets)]}))
+        outs[name] = tmp_path / f"{name}_out"
+        code, out, err = run_cli(
+            capsys, "edit", "--source", str(tmp_path / "source.json"),
+            "--detections", str(tmp_path / f"{name}.json"),
+            "--answer", str(tmp_path / "answer.txt"), "--db", str(tmp_path / "db.json"),
+            "--query-embedding", str(tmp_path / "query.json"), "--frames", "3",
+            "--out-dir", str(outs[name]))
+        assert code == 0, err
+    entry = load_out(outs["both"], "report.json")["retrieved"][0]
+    assert entry["unaligned"] == [
+        {"instance_id": 1, "reason": "aligned keypoint coordinates overflow the float range"}
+    ]
+    assert list(entry["transforms"]) == ["0"]
+    assert filecmp.cmp(outs["both"] / "edited.json", outs["first"] / "edited.json",
+                       shallow=False)
+
+
 def test_edit_refuses_a_clip_whose_skeleton_differs_from_the_source(tmp_path, capsys):
     bundle = copy_bundle(tmp_path, "e2e_girl_dance")
     clip = bundle / "db" / "clips" / "dance_01.json"
@@ -613,6 +664,23 @@ def test_bad_config_file_values_exit_2_like_bad_flags(tmp_path, capsys, config, 
     assert code == 2
     assert err.startswith(f"error: {message}")
     assert not os.path.exists(tmp_path / "out")
+
+
+DEMO_EDIT = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "scripts", "demo_edit.py")
+
+
+def test_demo_script_narrates_an_edit_and_names_only_files_it_wrote(tmp_path):
+    out_dir = tmp_path / "demo"
+    proc = subprocess.run(
+        [sys.executable, DEMO_EDIT, fixture_path("e2e_duo_wave"), str(out_dir), "--top-k", "2"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    head, _, named = proc.stdout.splitlines()[-1].partition(": ")
+    assert head == f"wrote {out_dir}/"
+    names = named.split(", ")
+    assert names == ["edited_01.json", "edited_02.json", "report.json", "manifest.json"]
+    assert all((out_dir / name).is_file() for name in names)
 
 
 # --- blend-demo -------------------------------------------------------------------
@@ -991,6 +1059,26 @@ def test_edit_reruns_are_byte_identical(tmp_path, capsys):
     assert run_cli(capsys, *edit_flags("e2e_duo_wave", first))[0] == 0
     assert run_cli(capsys, *edit_flags("e2e_duo_wave", second))[0] == 0
     assert identical_trees(first, second)
+
+
+POSE_VIDEO = re.compile(r"(aligned|edited(_\d+)?)\.json")
+
+
+def test_every_json_report_is_one_canonical_line(tmp_path, capsys):
+    """Pose videos have their own six-decimal form; every other JSON output
+    is json's compact sorted-key text on one line."""
+    reports = 0
+    for name, argv in cli_fixture_commands():
+        out_dir = tmp_path / name
+        assert run_cli(capsys, *argv, "--out-dir", str(out_dir))[0] == 0, name
+        for file in sorted(os.listdir(out_dir)):
+            if file.endswith(".json") and not POSE_VIDEO.fullmatch(file):
+                text = (out_dir / file).read_text(encoding="utf-8")
+                canonical = json.dumps(json.loads(text), sort_keys=True,
+                                       separators=(",", ":"), allow_nan=False) + "\n"
+                assert text == canonical, f"{name}: {file}"
+                reports += 1
+    assert reports == 22  # a manifest for each of the 10 commands, plus 12 reports
 
 
 # --- the BLAS kernel ----------------------------------------------------------------

@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from posedit import (
     AnswerRecord,
@@ -218,17 +218,24 @@ def blend_records(draw):
     blend_records(),
     st.sampled_from([{}, {"ratio": 0.3, "tokens": [0, 2], "union_initial_mask": True}]),
 )
-def test_step_writer_matches_the_json_encoder(records, doc):
-    steps = [
-        {
-            "step": step,
-            "mask": {"h": mask.h, "w": mask.w, "bits": mask.bits.ravel().tolist()},
-            "s_edit": {"h": s_edit.h, "w": s_edit.w, "values": s_edit.values.ravel().tolist()},
-        }
-        for step, mask, s_edit in records
-    ]
-    want = json.dumps({**doc, "steps": steps}, sort_keys=True, indent=2) + "\n"
-    assert pipeline._dump_steps(doc, records) == want
+@example(
+    [(7, Mask(1, 2, np.array([[1, 0]], dtype=np.uint8)),
+      SpatialMap(1, 2, np.array([[-0.0, 5e-324]])))],
+    {},
+)
+def test_step_documents_dump_to_one_line_that_parses_back_bit_for_bit(records, doc):
+    text = pipeline._dump("blended.json", {**doc, "steps": pipeline._step_docs(records)})
+    assert text.endswith("}\n") and "\n" not in text[:-1]
+    back = json.loads(text)
+    assert {key: back[key] for key in doc} == doc
+    assert len(back["steps"]) == len(records)
+    for got, (step, mask, s_edit) in zip(back["steps"], records):
+        assert got["step"] == step
+        assert (got["mask"]["h"], got["mask"]["w"]) == (mask.h, mask.w)
+        assert got["mask"]["bits"] == mask.bits.ravel().tolist()
+        assert (got["s_edit"]["h"], got["s_edit"]["w"]) == (s_edit.h, s_edit.w)
+        values = np.array(got["s_edit"]["values"], dtype=np.float64)
+        assert values.tobytes() == s_edit.values.ravel().tobytes()  # -0.0 keeps its sign
 
 
 def test_dump_refuses_a_value_json_cannot_hold():
