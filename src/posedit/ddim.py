@@ -33,7 +33,9 @@ STEPS_DEFAULT = 50
 
 @dataclass(frozen=True)
 class DdimSchedule:
-    """Cumulative noise coefficients; index t runs 0..T with alphas[0] = 1."""
+    """Cumulative noise coefficients; index t runs 0..T with alphas[0] = 1.
+
+    Built by :func:`make_schedule`, which gives T >= 1 betas and T + 1 alphas."""
 
     beta_start: float
     beta_end: float
@@ -43,12 +45,6 @@ class DdimSchedule:
     def __post_init__(self):
         object.__setattr__(self, "betas", tuple(float(b) for b in self.betas))
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
-        if not self.betas:
-            raise ValueError("schedule needs at least one step")
-        if len(self.alphas) != len(self.betas) + 1:
-            raise ValueError("alphas must have one more entry than betas")
-        if self.alphas[0] != 1.0:
-            raise ValueError("alphas[0] must be 1")
         for t in range(1, len(self.alphas)):
             if not 0.0 < self.alphas[t] <= 1.0:
                 raise ValueError(f"alphas[{t}] out of (0, 1]")

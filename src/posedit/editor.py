@@ -22,7 +22,6 @@ from .procrustes import (
     KeypointSet,
     SimilarityTransform2D,
     apply_transform,
-    map_finite,
     solve_similarity,
 )
 
@@ -187,6 +186,8 @@ def same_skeleton_or_raise(
 
 def _donor_or_raise(source: PoseVideo, retrieved: PoseVideo) -> None:
     # substitution copies keypoints joint by joint, one retrieved row per frame
+    if not len(retrieved.frame_index):
+        raise ShapeError("retrieved video has no frames")
     same_skeleton_or_raise(source, retrieved)
     counts = np.diff(retrieved.offsets)
     bad = np.flatnonzero(counts != 1)
@@ -200,29 +201,34 @@ def _donor_or_raise(source: PoseVideo, retrieved: PoseVideo) -> None:
 
 def alignment_transforms(
     source: PoseVideo, assignment: Assignment, retrieved: PoseVideo
-) -> tuple[dict[int, SimilarityTransform2D], dict[int, str]]:
+) -> tuple[dict[int, tuple[SimilarityTransform2D, PoseVideo]], dict[int, str]]:
     """Per matched instance: the similarity transform carrying the retrieved
-    first-frame keypoints onto that instance's source first-frame keypoints.
+    first-frame keypoints onto that instance's source first-frame keypoints,
+    and the donor that transform makes of the retrieved clip.
 
-    Returns ``(transforms, unaligned)``.  An instance whose alignment
-    :func:`solve_similarity` cannot solve (e.g. fewer than 2 usable joints
-    shared with the retrieved first frame), or whose transform carries a
-    visible retrieved keypoint past the float range, is left out of
-    ``transforms`` and mapped to that :class:`GeometryError`'s text in
-    ``unaligned``, so one degenerate person does not stop the others' edit.
+    Returns ``(aligned, unaligned)``.  ``aligned`` maps an instance_id to
+    ``(transform, donor)``: the donor is the retrieved clip resampled to the
+    source's frame count by nearest index, then mapped through the
+    transform, so row k of it is the person's keypoints in source frame k.
+    An instance whose alignment :func:`solve_similarity` cannot solve (e.g.
+    fewer than 2 usable joints shared with the retrieved first frame), or
+    whose transform carries a visible keypoint of the resampled clip past
+    the float range, is left out of ``aligned`` and mapped to that
+    :class:`GeometryError`'s text in ``unaligned``, so one degenerate person
+    does not stop the others' edit.  A retrieved clip that cannot donate
+    (no frames, another skeleton, other than one person per frame) raises
+    :class:`ShapeError` even when nobody is matched.
     """
+    _donor_or_raise(source, retrieved)
     if not assignment.pairs:
         return {}, {}
     if not len(source.frame_index):
         raise ValueError("source video has no frames")
-    if not len(retrieved.frame_index):
-        raise ShapeError("retrieved video has no frames")
-    _donor_or_raise(source, retrieved)
+    clip = resample_video(retrieved, len(source.frame_index))  # frame 0 stays frame 0
     first_ids = source.instance_id[: source.offsets[1]].tolist()
     first = {inst_id: row for row, inst_id in enumerate(first_ids)}  # id -> row
-    moving = KeypointSet(points=retrieved.xy[0], mask=retrieved.visible[0])
-    donor = retrieved.xy[retrieved.visible]
-    transforms, unaligned = {}, {}
+    moving = KeypointSet(points=clip.xy[0], mask=clip.visible[0])
+    aligned, unaligned = {}, {}
     for _, inst_id in assignment.pairs:
         if inst_id not in first:
             raise ValueError(
@@ -232,40 +238,34 @@ def alignment_transforms(
         fixed = KeypointSet(points=source.xy[row], mask=source.visible[row])
         try:
             tr = solve_similarity(fixed, moving)
-            map_finite(tr, donor)  # edit_pose_video's apply_transform cannot fail
-            transforms[inst_id] = tr
+            aligned[inst_id] = (tr, apply_transform(tr, clip))
         except GeometryError as exc:
             unaligned[inst_id] = str(exc)
-    return transforms, unaligned
+    return aligned, unaligned
 
 
 def edit_pose_video(
     source: PoseVideo,
     assignment: Assignment,
-    retrieved: PoseVideo,
-    transforms: dict[int, SimilarityTransform2D],
+    aligned: dict[int, tuple[SimilarityTransform2D, PoseVideo]],
 ) -> PoseVideo:
-    """Replace each matched instance with the aligned retrieved clip.
+    """Replace each aligned instance's keypoints with its donor's.
 
-    ``transforms`` is the first of what :func:`alignment_transforms` returns
-    for the same arguments: one alignment per aligned instance, solved on
-    first frames.  Each is applied to every retrieved frame, and the
-    retrieved clip is resampled to the source frame count by nearest index
-    before substitution.  Instances without a transform keep their
-    keypoints untouched, and the output always has the source's frame count
-    and frame indices.
+    ``aligned`` is the first of what :func:`alignment_transforms` returns
+    for ``source`` and ``assignment``: per instance_id, a transform and a
+    donor with the source's frame count and one person per frame.  In
+    source frame k the instance takes row k of its donor.  Instances
+    without a donor keep their keypoints untouched, and the output always
+    has the source's frame count and frame indices.
     """
     if not assignment.pairs:
         return source
-    _donor_or_raise(source, retrieved)  # so row k of a donor is its frame k
-
     frame_count = len(source.frame_index)
     frame_of_row = np.repeat(np.arange(frame_count), np.diff(source.offsets))
     xy = source.xy.copy()
     visible = source.visible.copy()
     confidence = source.confidence.copy()
-    for inst_id, tr in transforms.items():
-        donor = resample_video(apply_transform(tr, retrieved), frame_count)
+    for inst_id, (_, donor) in aligned.items():
         rows = np.flatnonzero(source.instance_id == inst_id)
         picks = frame_of_row[rows]
         xy[rows] = donor.xy[picks]

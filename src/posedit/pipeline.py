@@ -443,15 +443,15 @@ def run_edit(config: PipelineConfig) -> dict:
         if key not in clips:
             clips[key] = parse_pose_video(_read(video_path))
         retrieved = clips[key]
-        transforms, unaligned = alignment_transforms(working, assignment, retrieved)
-        edited = edit_pose_video(working, assignment, retrieved, transforms)
+        aligned, unaligned = alignment_transforms(working, assignment, retrieved)
+        edited = edit_pose_video(working, assignment, aligned)
         out_name = (
             "edited.json" if len(ranking) == 1 else f"edited_{entry_doc['rank']:02d}.json"
         )
         files[out_name] = serialize_pose_video(edited)
         entry_doc["output"] = out_name
         entry_doc["transforms"] = {
-            str(inst_id): _transform_doc(tr) for inst_id, tr in sorted(transforms.items())
+            str(inst_id): _transform_doc(tr) for inst_id, (tr, _) in sorted(aligned.items())
         }
         if unaligned:
             entry_doc["unaligned"] = [

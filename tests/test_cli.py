@@ -128,6 +128,20 @@ def test_align_degenerate_geometry_exits_3(tmp_path, capsys):
     assert err.startswith("error: ")
 
 
+def test_align_frameless_fixed_clip_exits_3(tmp_path, capsys):
+    doc = json.loads(read_fixture("align", "fixed.json"))
+    doc["frames"] = []
+    fixed = tmp_path / "fixed.json"
+    fixed.write_text(json.dumps(doc), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(
+        capsys, "align", str(fixed), fixture_path("align", "moving.json"),
+        "--out-dir", str(out_dir),
+    )
+    assert (code, out, err) == (3, "", "error: fixed video has no frames\n")
+    assert not out_dir.exists()
+
+
 @pytest.mark.filterwarnings("error")
 def test_align_overflowing_clip_exits_3(tmp_path, capsys):
     def clip(*frames):
@@ -369,6 +383,18 @@ def test_edit_detections_for_another_frame_exit_3(tmp_path, capsys):
     code, out, err = run_cli(capsys, *argv)
     assert code == 3
     assert "frame_index 7" in err and "frame_index 0" in err
+    assert not os.path.exists(tmp_path / "out")
+
+
+def test_edit_frameless_source_exits_3(tmp_path, capsys):
+    doc = json.loads(read_fixture("e2e_girl_dance", "source.json"))
+    doc["frames"] = []
+    source = tmp_path / "source.json"
+    source.write_text(json.dumps(doc), encoding="utf-8")
+    argv = edit_flags("e2e_girl_dance", tmp_path / "out")
+    argv[argv.index("--source") + 1] = str(source)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (3, "", "error: source video has no frames\n")
     assert not os.path.exists(tmp_path / "out")
 
 
@@ -637,6 +663,28 @@ def test_edit_refuses_a_clip_whose_skeleton_differs_from_the_source(tmp_path, ca
     assert not os.path.exists(out_dir)
 
 
+def test_edit_refuses_a_two_person_clip_whether_or_not_anyone_matched(tmp_path, capsys):
+    bundle = copy_bundle(tmp_path, "e2e_girl_dance")
+    clip = bundle / "db" / "clips" / "dance_01.json"
+    doc = json.loads(clip.read_text(encoding="utf-8"))
+    for frame in doc["frames"]:
+        frame["instances"].append({**frame["instances"][0], "instance_id": 1})
+    clip.write_text(json.dumps(doc), encoding="utf-8")
+    nobody = tmp_path / "nobody.json"
+    nobody.write_text(json.dumps({"frame_index": 0, "detections": []}), encoding="utf-8")
+    for detections in (bundle / "detections.json", nobody):
+        out_dir = tmp_path / f"out_{detections.stem}"
+        code, out, err = run_cli(
+            capsys, "edit", "--config", str(bundle / "config.json"),
+            "--detections", str(detections), "--out-dir", str(out_dir),
+        )
+        assert (code, out) == (3, ""), detections
+        assert err == (
+            "error: retrieved video must have exactly 1 instance per frame; frame 0 has 2\n"
+        )
+        assert not out_dir.exists()
+
+
 def test_unknown_config_field_exits_2(tmp_path, capsys):
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text('{"frame_cont": 24}', encoding="utf-8")
@@ -736,6 +784,23 @@ def test_blend_demo_overflowing_token_sum_exits_3(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_blend_demo_stack_with_a_changing_token_count_exits_2(tmp_path, capsys):
+    def step(index, tokens):
+        grid = {"h": 1, "w": 1, "values": [1.0]}
+        return {"step": index, "c_inv": [grid] * tokens, "s_inv": grid,
+                "c_den": [grid] * tokens, "s_den": grid}
+
+    stack = tmp_path / "stack.json"
+    stack.write_text(json.dumps({"steps": [step(2, 2), step(1, 3)]}), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(
+        capsys, "blend-demo", "--stack", str(stack), "--out-dir", str(out_dir)
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: steps: token count must be uniform across steps\n"
+    assert not out_dir.exists()
+
+
 # --- ddim-demo --------------------------------------------------------------------
 
 
@@ -764,6 +829,10 @@ def test_ddim_demo_reports_round_trip_error(tmp_path, capsys):
             {"latent_dim": 2**62},
             f"invalid configuration: latent_dim: expected an integer <= 4096, got {2**62}",
         ),
+        (
+            {"beta_start": 1e-17, "beta_end": 1e-17},
+            "invalid configuration: alphas must be strictly decreasing",
+        ),
     ],
 )
 def test_ddim_demo_bad_config_exits_2(tmp_path, capsys, config, message):
@@ -775,6 +844,7 @@ def test_ddim_demo_bad_config_exits_2(tmp_path, capsys, config, message):
     assert code == 2
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
+    assert not os.path.exists(tmp_path / "out")
 
 
 def test_ddim_demo_overflowing_latent_exits_3(tmp_path, capsys):
@@ -835,6 +905,24 @@ def test_metrics_unreadable_sidecar_exits_3(tmp_path, capsys, ref):
     )
     assert code == 3
     assert f"cannot read {tmp_path / ref}" in err
+
+
+def test_metrics_sidecar_that_is_not_json_exits_2(tmp_path, capsys):
+    doc = json.loads(read_fixture("metrics", "manifest.json"))
+    doc[0]["edited"] = {"path": "parts/case00_edited.json"}
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(doc), encoding="utf-8")
+    (tmp_path / "parts").mkdir()
+    (tmp_path / "parts" / "case00_edited.json").write_text("{\"video_id\": ", encoding="utf-8")
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(
+        capsys, "metrics", "--manifest", str(manifest), "--out-dir", str(out_dir)
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith(
+        "error: $[0].edited.path: 'parts/case00_edited.json': invalid JSON: "
+    )
+    assert not out_dir.exists()
 
 
 def test_metrics_overflowing_norm_exits_3(tmp_path, capsys):

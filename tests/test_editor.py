@@ -236,7 +236,7 @@ def test_resample_video_rejects_empty_request():
 def test_edit_with_no_pairs_returns_source_unchanged():
     video = two_frame_video()
     empty = Assignment(pairs=(), unmatched_detections=(0,), unmatched_instances=(0,))
-    assert edit_pose_video(video, empty, two_frame_video(), {}) is video
+    assert edit_pose_video(video, empty, {}) is video
 
 
 def test_edit_replaces_only_matched_instances():
@@ -247,9 +247,8 @@ def test_edit_replaces_only_matched_instances():
     assignment = Assignment(
         pairs=((0, 0),), unmatched_detections=(), unmatched_instances=(1,)
     )
-    out = edit_pose_video(
-        source, assignment, retrieved, alignment_transforms(source, assignment, retrieved)[0]
-    )
+    aligned, _ = alignment_transforms(source, assignment, retrieved)
+    out = edit_pose_video(source, assignment, aligned)
     assert len(out.frames) == len(source.frames)
     for got_frame, src_frame in zip(out.frames, source.frames):
         bystander_out = got_frame.instances[1]
@@ -262,16 +261,17 @@ def test_edit_replaces_only_matched_instances():
     assert got_conf == ret_conf
 
 
-def test_edit_requires_single_instance_retrieved_clip():
+@pytest.mark.parametrize("pairs", [((0, 0),), ()], ids=["matched", "nobody-matched"])
+def test_edit_requires_single_instance_retrieved_clip(pairs):
     source = two_frame_video()
-    assignment = Assignment(
-        pairs=((0, 0),), unmatched_detections=(), unmatched_instances=()
+    assignment = Assignment(pairs=pairs, unmatched_detections=(), unmatched_instances=())
+    # the source's own skeleton, with a second person in frame 1
+    duo = pose_video(
+        100, 100, ("j",),
+        [(0, [(0, [(1.0, 1.0, True)])]), (1, [(0, [(2.0, 1.0, True)]), (1, [(3.0, 1.0, True)])])],
     )
-    multi = parse_pose_video(read_fixture("pose_corpus", "multi.json"))
-    with pytest.raises(ShapeError):
-        edit_pose_video(
-            source, assignment, multi, alignment_transforms(source, assignment, multi)[0]
-        )
+    with pytest.raises(ShapeError, match="exactly 1 instance per frame; frame 1 has 2"):
+        alignment_transforms(source, assignment, duo)
 
 
 def test_edit_refuses_a_clip_whose_skeleton_differs_from_the_source():
@@ -294,9 +294,6 @@ def test_edit_refuses_a_clip_whose_skeleton_differs_from_the_source():
     )
     with pytest.raises(ShapeError, match="skeleton"):
         alignment_transforms(source, assignment, reversed_joints)
-    transforms, _ = alignment_transforms(source, assignment, retrieved)
-    with pytest.raises(ShapeError, match="skeleton"):
-        edit_pose_video(source, assignment, reversed_joints, transforms)
 
 
 def test_edit_rejects_unknown_instance_id():
@@ -306,9 +303,7 @@ def test_edit_rejects_unknown_instance_id():
     )
     retrieved = two_frame_video()
     with pytest.raises(ValueError, match="instance_id 7"):
-        edit_pose_video(
-            source, assignment, retrieved, alignment_transforms(source, assignment, retrieved)[0]
-        )
+        alignment_transforms(source, assignment, retrieved)
 
 
 # --- detection documents --------------------------------------------------------------
@@ -468,16 +463,22 @@ def test_edit_matches_the_per_keypoint_reference(source, data):
         unmatched_detections=(),
         unmatched_instances=tuple(i for i in first_ids if i not in matched),
     )
+    # any transform, with its donor built the way alignment_transforms
+    # builds one: resampled first, then mapped, where the reference maps
+    # the whole clip and then resamples
     transforms = {inst_id: data.draw(similarity_transforms) for inst_id in matched}
+    clip = resample_video(retrieved, len(source.frame_index))
     assert_same_bits(
-        edit_pose_video(source, assignment, retrieved, transforms),
+        edit_pose_video(
+            source, assignment, {i: (tr, apply_transform(tr, clip)) for i, tr in transforms.items()}
+        ),
         edit_per_keypoint(source, transforms, retrieved),
     )
-    # and with the transforms alignment_transforms solves; a person whose
-    # first frame is degenerate is left out of them, not fatal
-    solved, unaligned = alignment_transforms(source, assignment, retrieved)
-    assert sorted([*solved, *unaligned]) == sorted(matched)
+    # and with what alignment_transforms solves; a person whose first
+    # frame is degenerate is left out of it, not fatal
+    aligned, unaligned = alignment_transforms(source, assignment, retrieved)
+    assert sorted([*aligned, *unaligned]) == sorted(matched)
     assert_same_bits(
-        edit_pose_video(source, assignment, retrieved, solved),
-        edit_per_keypoint(source, solved, retrieved),
+        edit_pose_video(source, assignment, aligned),
+        edit_per_keypoint(source, {i: tr for i, (tr, _) in aligned.items()}, retrieved),
     )

@@ -19,10 +19,13 @@ from hypothesis import given, strategies as st
 from posedit import pipeline
 from posedit.cli import main
 from posedit.pipeline import load_index, save_index
+from numpy.lib import format as npy_format
 from posedit.retrieval import (
     PoseDatabase,
     _digest,
     build_index,
+    decode_index,
+    encode_index,
     parse_db_manifest,
     sha256_hex,
 )
@@ -296,6 +299,22 @@ def test_load_index_refuses_an_intact_entry_that_breaks_a_database_rule(tmp_path
     save_index(db, str(tmp_path), "k")
     assert sorted(os.listdir(tmp_path)) == ["k.json", "k.npy"]
     assert load_index(str(tmp_path), "k") is None
+
+
+def test_a_matrix_stored_under_a_format_2_header_is_a_miss():
+    with open(fixture_path("retrieval", "db_manifest.json"), "r", encoding="utf-8") as fh:
+        db = build_index(parse_db_manifest(fh.read()))
+    npy, doc = encode_index(db, "k")
+    assert decode_index("k", npy, doc) is not None
+    stream = io.BytesIO(npy)
+    npy_format.read_magic(stream)
+    npy_format.read_array_header_1_0(stream)
+    header = io.BytesIO()
+    npy_format.write_array_header_2_0(header, npy_format.header_data_from_array_1_0(db.matrix))
+    rewritten = header.getvalue() + npy[stream.tell():]
+    # the same array to np.load, in a header format decode_index does not read
+    assert np.load(io.BytesIO(rewritten)).tobytes() == np.load(io.BytesIO(npy)).tobytes()
+    assert decode_index("k", rewritten, doc) is None
 
 
 def test_the_cache_lives_under_home_when_xdg_cache_home_is_unset_or_relative(

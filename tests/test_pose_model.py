@@ -263,8 +263,8 @@ def test_array_paths_build_no_views(monkeypatch):
     assignment = Assignment(
         pairs=tuple(enumerate(first_ids)), unmatched_detections=(), unmatched_instances=()
     )
-    transforms, _ = alignment_transforms(working, assignment, retrieved)
-    edited = edit_pose_video(working, assignment, retrieved, transforms)
+    aligned, _ = alignment_transforms(working, assignment, retrieved)
+    edited = edit_pose_video(working, assignment, aligned)
     serialize_pose_video(edited)
     keypoint_bbox(edited, 0)
     assert reads == []
