@@ -30,12 +30,10 @@ from .ddim import (
 )
 from .editor import (
     Assignment,
-    Detection,
     DetectionSet,
     alignment_transforms,
     assign_detections,
     edit_pose_video,
-    iou,
     out_of_bounds_detections,
     parse_detections,
     resample_video,
@@ -59,11 +57,9 @@ from .metrics import (
 )
 from .pipeline import AnswerRecord, parse_answer
 from .pose_model import (
-    BoundingBox,
     PoseFrame,
     PoseInstance,
     PoseVideo,
-    keypoint_bbox,
     parse_pose_video,
     serialize_pose_video,
 )

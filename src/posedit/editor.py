@@ -1,11 +1,12 @@
 """Detection ingestion, detection-to-instance assignment, and pose replacement.
 
-Detections (phrase + box + score) come from a file; each is matched to a pose
-instance in the source clip's first frame by greedy intersection-over-union on
-the instance's keypoint-derived box.  Every matched instance is then replaced,
-frame by frame, with the retrieved action clip after similarity alignment onto
-that instance's own first-frame keypoints, so multi-person edits stay local.
-Unmatched people pass through bit-identically.
+Detections (phrase + box + score) come from a file and are held as columns;
+each is matched to a pose instance in the source clip's first frame by greedy
+intersection-over-union on the box of the instance's visible keypoints.
+Every matched instance is then replaced, frame by frame, with the retrieved
+action clip after similarity alignment onto that instance's own first-frame
+keypoints, so multi-person edits stay local.  Unmatched people pass through
+bit-identically.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from ._schema import array, fraction, integer, load_json, obj, reals, string
 from .errors import GeometryError, ParseError, ShapeError
-from .pose_model import BoundingBox, PoseVideo, keypoint_bbox
+from .pose_model import PoseVideo
 from .procrustes import (
     KeypointSet,
     SimilarityTransform2D,
@@ -28,28 +29,48 @@ from .procrustes import (
 IOU_THRESHOLD_DEFAULT = 0.3
 
 
-@dataclass(frozen=True)
-class Detection:
-    """A phrase-grounded box over the first frame, e.g. ("the girl", box, 0.93)."""
-
-    phrase: str
-    box: BoundingBox
-    score: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.score) and 0.0 <= self.score <= 1.0):
-            raise ValueError(f"score must be in [0, 1], got {self.score}")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DetectionSet:
+    """Phrase-grounded boxes over one frame, held as columns.
+
+    Detection i is ``phrases[i]`` (e.g. "the girl"), its box ``boxes[i]``
+    = ``[x_min, y_min, x_max, y_max]`` and its ``scores[i]``.  ``boxes``
+    (n, 4) and ``scores`` (n,) are float64 arrays, copied and frozen at
+    construction.  Raises :class:`ValueError` for a negative
+    ``frame_index``, columns of other lengths, a non-finite box, a min
+    past its max, or a score outside [0, 1].
+    """
+
     frame_index: int
-    detections: tuple[Detection, ...]
+    phrases: tuple[str, ...]
+    boxes: np.ndarray
+    scores: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "detections", tuple(self.detections))
+        phrases = tuple(self.phrases)
+        boxes = np.array(self.boxes, dtype=np.float64)
+        scores = np.array(self.scores, dtype=np.float64)
         if self.frame_index < 0:
             raise ValueError("frame_index must be non-negative")
+        if boxes.shape != (len(phrases), 4) or scores.shape != (len(phrases),):
+            raise ValueError(
+                f"boxes {boxes.shape} and scores {scores.shape} must hold one "
+                f"row for each of {len(phrases)} phrases"
+            )
+        if not np.isfinite(boxes).all():
+            raise ValueError("boxes must be finite")
+        if (boxes[:, 2:] < boxes[:, :2]).any():
+            raise ValueError("box extents must satisfy x_min <= x_max and y_min <= y_max")
+        if not ((scores >= 0.0) & (scores <= 1.0)).all():
+            raise ValueError("scores must be in [0, 1]")
+        boxes.setflags(write=False)
+        scores.setflags(write=False)
+        object.__setattr__(self, "phrases", phrases)
+        object.__setattr__(self, "boxes", boxes)
+        object.__setattr__(self, "scores", scores)
+
+    def __len__(self) -> int:
+        return len(self.phrases)
 
 
 @dataclass(frozen=True)
@@ -73,15 +94,33 @@ class Assignment:
             raise ValueError("a detection or instance appears in more than one pair")
 
 
-def iou(a: BoundingBox, b: BoundingBox) -> float:
-    """Intersection area over union area; 0 whenever the union is degenerate."""
-    iw = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
-    ih = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
-    inter = max(0.0, iw) * max(0.0, ih)
-    union = a.area + b.area - inter
-    if union <= 0.0:
-        return 0.0
-    return inter / union
+def _iou_table(dset: DetectionSet, video: PoseVideo) -> tuple[np.ndarray, np.ndarray]:
+    """The (detections x boxed people) IoU array of ``dset`` against the
+    people of ``video``'s first frame, and those people's instance ids.
+
+    A person's box spans the visible keypoints of their first-frame row; a
+    person without one has no box and no column.  Each value is intersection
+    area over union area, 0 whenever the union is not positive, computed
+    with the operations of the scalar rule in its order, so it has the
+    scalar rule's bits (a union of areas past the float range gives NaN).
+    """
+    first = slice(0, video.offsets[1])
+    boxed = video.visible[first].any(axis=1)
+    xy = video.xy[first][boxed]
+    seen = video.visible[first][boxed][..., None]
+    lo = xy.min(axis=1, where=seen, initial=np.inf)  # (people, 2)
+    hi = xy.max(axis=1, where=seen, initial=-np.inf)
+    d = dset.boxes[:, None, :]  # (detections, 1, 4) against (people,) columns
+    with np.errstate(all="ignore"):
+        iw = np.minimum(d[..., 2], hi[:, 0]) - np.maximum(d[..., 0], lo[:, 0])
+        ih = np.minimum(d[..., 3], hi[:, 1]) - np.maximum(d[..., 1], lo[:, 1])
+        # not np.maximum(0.0, w): that keeps -0.0 where max(0.0, w) gives 0.0
+        inter = np.where(iw > 0.0, iw, 0.0) * np.where(ih > 0.0, ih, 0.0)
+        det_area = (d[..., 2] - d[..., 0]) * (d[..., 3] - d[..., 1])
+        person_area = (hi[:, 0] - lo[:, 0]) * (hi[:, 1] - lo[:, 1])
+        union = det_area + person_area - inter
+        table = np.where(union <= 0.0, 0.0, inter / union)
+    return table, video.instance_id[first][boxed]
 
 
 def assign_detections(
@@ -99,22 +138,15 @@ def assign_detections(
     if not len(video.frame_index):
         raise ValueError("video has no frames")
     ids = video.instance_id[: video.offsets[1]].tolist()
-    boxed = [
-        (inst_id, keypoint_bbox(video, row))
-        for row, inst_id in enumerate(ids)
-        if video.visible[row].any()
-    ]
-    candidates = []
-    for d_idx, det in enumerate(dset.detections):
-        for inst_id, inst_box in boxed:
-            value = iou(det.box, inst_box)
-            if value >= threshold:
-                candidates.append((value, d_idx, inst_id))
+    table, boxed_ids = _iou_table(dset, video)
+    rows, cols = np.nonzero(table >= threshold)
     # sorted scan == repeated global-max extraction: skipped rows stay skipped
-    candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
+    candidates = sorted(
+        zip((-table[rows, cols]).tolist(), rows.tolist(), boxed_ids[cols].tolist())
+    )
 
     used_d, used_i, pairs = set(), set(), []
-    for value, d_idx, inst_id in candidates:
+    for _, d_idx, inst_id in candidates:
         if d_idx in used_d or inst_id in used_i:
             continue
         used_d.add(d_idx)
@@ -122,9 +154,7 @@ def assign_detections(
         pairs.append((d_idx, inst_id))
     return Assignment(
         pairs=tuple(pairs),
-        unmatched_detections=tuple(
-            i for i in range(len(dset.detections)) if i not in used_d
-        ),
+        unmatched_detections=tuple(i for i in range(len(dset)) if i not in used_d),
         unmatched_instances=tuple(i for i in ids if i not in used_i),
     )
 
@@ -278,12 +308,12 @@ def out_of_bounds_detections(
     dset: DetectionSet, width: int, height: int
 ) -> tuple[int, ...]:
     """Indices of detections whose boxes stick outside [0,width] x [0,height]."""
-    flagged = []
-    for i, det in enumerate(dset.detections):
-        b = det.box
-        if b.x_min < 0.0 or b.y_min < 0.0 or b.x_max > width or b.y_max > height:
-            flagged.append(i)
-    return tuple(flagged)
+    # the extents stay Python ints, so each coordinate is compared with
+    # them exactly: as float64, 2**53 + 3 would round and 10**400 overflow
+    outside = (dset.boxes[:, :2] < 0.0) | (
+        dset.boxes[:, 2:] > np.array([width, height], dtype=object)
+    )
+    return tuple(np.flatnonzero(outside.any(axis=1)).tolist())
 
 
 # --- detection file parsing ----------------------------------------------------
@@ -298,11 +328,11 @@ def parse_detections(text: str) -> DetectionSet:
     """
     doc = obj(load_json(text), "$", required=("frame_index", "detections"))
     frame_index = integer(doc["frame_index"], "$", "frame_index", minimum=0)
-    detections = []
+    phrases, boxes, scores = [], [], []
     for i, node in enumerate(array(doc["detections"], "$", "detections")):
         path = f"detections[{i}]"
         obj(node, path, required=("phrase", "box", "score"))
-        phrase = string(node["phrase"], path, "phrase", nonempty=True)
+        phrases.append(string(node["phrase"], path, "phrase", nonempty=True))
         coords = reals(node["box"], path, "box")
         if len(coords) != 4:
             raise ParseError(f"{path}.box: expected [x_min, y_min, x_max, y_max]")
@@ -310,11 +340,6 @@ def parse_detections(text: str) -> DetectionSet:
             raise ParseError(
                 f"{path}.box: extents must satisfy x_min <= x_max and y_min <= y_max"
             )
-        detections.append(
-            Detection(
-                phrase=phrase,
-                box=BoundingBox(*coords),
-                score=fraction(node["score"], path, "score"),
-            )
-        )
-    return DetectionSet(frame_index=frame_index, detections=tuple(detections))
+        boxes.append(coords)
+        scores.append(fraction(node["score"], path, "score"))
+    return DetectionSet(frame_index, tuple(phrases), np.reshape(boxes, (-1, 4)), scores)

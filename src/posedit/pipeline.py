@@ -466,7 +466,7 @@ def run_edit(config: PipelineConfig) -> dict:
             "pairs": [
                 {
                     "detection": d_idx,
-                    "phrase": dset.detections[d_idx].phrase,
+                    "phrase": dset.phrases[d_idx],
                     "instance_id": inst_id,
                 }
                 for d_idx, inst_id in assignment.pairs

@@ -1,4 +1,4 @@
-"""Pose-video data model, canonical serialization, and keypoint-derived boxes.
+"""Pose-video data model and canonical serialization.
 
 A pose video is an ordered sequence of frames, each holding per-person 2-D
 keypoint sets.  The interchange format used by every other module is a UTF-8
@@ -54,7 +54,6 @@ operations.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
 
@@ -70,7 +69,7 @@ from ._schema import (
     real,
     string,
 )
-from .errors import GeometryError, ParseError
+from .errors import ParseError
 
 # frame indices and instance ids are stored as int64
 _INDEX_MAX = 2**63 - 1
@@ -239,40 +238,6 @@ class PoseVideo(_Record):
             )
             object.__setattr__(self, "_frames", frames)
         return self._frames
-
-
-@dataclass(frozen=True)
-class BoundingBox:
-    """Axis-aligned box in pixel coordinates."""
-
-    x_min: float
-    y_min: float
-    x_max: float
-    y_max: float
-
-    def __post_init__(self):
-        if self.x_max < self.x_min or self.y_max < self.y_min:
-            raise ValueError("box extents must satisfy x_min <= x_max and y_min <= y_max")
-
-    @property
-    def area(self) -> float:
-        return (self.x_max - self.x_min) * (self.y_max - self.y_min)
-
-
-def keypoint_bbox(video: PoseVideo, row: int) -> BoundingBox:
-    """Tight axis-aligned box over the visible keypoints of row ``row``.
-
-    Invisible keypoints are ignored; no padding is applied.  Raises
-    :class:`GeometryError` naming the row's instance when it has no visible
-    keypoint.
-    """
-    points = video.xy[row][video.visible[row]]
-    if not len(points):
-        raise GeometryError(
-            f"instance {video.instance_id[row]} has no visible keypoints"
-        )
-    (x_min, y_min), (x_max, y_max) = points.min(axis=0).tolist(), points.max(axis=0).tolist()
-    return BoundingBox(x_min, y_min, x_max, y_max)
 
 
 # --- parsing -----------------------------------------------------------------

@@ -1,13 +1,12 @@
+import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from posedit import (
     Assignment,
-    BoundingBox,
-    Detection,
     DetectionSet,
     ParseError,
     PoseVideo,
@@ -17,24 +16,32 @@ from posedit import (
     apply_transform,
     assign_detections,
     edit_pose_video,
-    iou,
-    keypoint_bbox,
     parse_detections,
     parse_pose_video,
     out_of_bounds_detections,
     resample_video,
 )
-from posedit.editor import resample_indices
-from conftest import ANY_COORDINATES, columns, pose_video, ragged_videos, read_fixture
+from posedit.editor import _iou_table, resample_indices
+from conftest import (
+    ANY_COORDINATES,
+    columns,
+    load_make_fixtures,
+    pose_video,
+    ragged_videos,
+    read_fixture,
+)
 from oracles import greedy_pairs_by_rescan
 
-
-def box(x0, y0, x1, y1):
-    return BoundingBox(x0, y0, x1, y1)
+make_fixtures = load_make_fixtures()
 
 
-def det(phrase, b, score=0.9):
-    return Detection(phrase=phrase, box=b, score=score)
+def detections(*boxes, score=0.9):
+    """A first-frame DetectionSet of ``boxes`` ([x_min, y_min, x_max,
+    y_max] each), phrased "d0", "d1", ... in order."""
+    n = len(boxes)
+    return DetectionSet(
+        0, tuple(f"d{i}" for i in range(n)), np.reshape(boxes, (n, 4)), [score] * n
+    )
 
 
 def person_instance(instance_id, cx, cy, half=10.0):
@@ -48,32 +55,126 @@ def frame_with(*instances, joints=2):
     return pose_video(400, 400, skeleton, [(0, instances), (1, [])])
 
 
-# --- iou ----------------------------------------------------------------------------
+def oracle_table(dset, video):
+    """{(detection index, instance_id): IoU} by the fixture generator's
+    scalar rules, which never import posedit: ``kp_box`` over each
+    first-frame person with a visible keypoint, then ``iou_scalar``."""
+    table = {}
+    for row in range(video.offsets[1]):
+        keypoints = [
+            {"x": x, "y": y, "visible": v}
+            for (x, y), v in zip(video.xy[row].tolist(), video.visible[row].tolist())
+        ]
+        if any(kp["visible"] for kp in keypoints):
+            person = make_fixtures.kp_box(keypoints)
+            for d, box in enumerate(dset.boxes.tolist()):
+                table[(d, int(video.instance_id[row]))] = make_fixtures.iou_scalar(box, person)
+    return table
+
+
+# --- IoU table ----------------------------------------------------------------------
+
+
+def iou_of(det_box, person_box):
+    """The IoU of one detection against one person whose visible keypoints
+    are the corners of ``person_box``."""
+    x0, y0, x1, y1 = person_box
+    person = (5, [(x0, y0, True), (x1, y1, True)])
+    table, ids = _iou_table(detections(det_box), frame_with(person))
+    assert ids.tolist() == [5]
+    return table[0, 0]
 
 
 def test_iou_hand_values():
-    assert iou(box(0, 0, 2, 2), box(1, 1, 3, 3)) == 1.0 / 7.0
-    assert iou(box(0, 0, 1, 1), box(2, 2, 3, 3)) == 0.0
-    assert iou(box(0, 0, 4, 4), box(1, 1, 2, 2)) == 1.0 / 16.0
-    assert iou(box(0, 0, 2, 2), box(0, 0, 2, 2)) == 1.0
+    assert iou_of((0, 0, 2, 2), (1, 1, 3, 3)) == 1.0 / 7.0
+    assert iou_of((0, 0, 1, 1), (2, 2, 3, 3)) == 0.0
+    assert iou_of((0, 0, 4, 4), (1, 1, 2, 2)) == 1.0 / 16.0
+    assert iou_of((0, 0, 2, 2), (0, 0, 2, 2)) == 1.0
 
 
 def test_iou_degenerate_union_is_zero():
-    assert iou(box(1, 1, 1, 1), box(1, 1, 1, 1)) == 0.0
+    assert iou_of((1, 1, 1, 1), (1, 1, 1, 1)) == 0.0
+
+
+def box_lists(coordinates, max_size):
+    """Lists of [x_min, y_min, x_max, y_max] boxes on ``coordinates``."""
+    return st.lists(st.tuples(*[coordinates] * 4), max_size=max_size).map(
+        lambda raw: [(min(a, c), min(b, d), max(a, c), max(b, d)) for a, b, c, d in raw]
+    )
+
+
+SMALL_COORDINATES = st.floats(min_value=-50, max_value=50)
 
 
 @given(
-    st.tuples(*[st.floats(min_value=-50, max_value=50) for _ in range(4)]),
-    st.tuples(*[st.floats(min_value=-50, max_value=50) for _ in range(4)]),
+    box_lists(SMALL_COORDINATES, 4),
+    ragged_videos(min_frames=1, coordinates=SMALL_COORDINATES),
 )
-def test_iou_is_symmetric_and_bounded(a_raw, b_raw):
-    a = box(min(a_raw[0], a_raw[2]), min(a_raw[1], a_raw[3]),
-            max(a_raw[0], a_raw[2]), max(a_raw[1], a_raw[3]))
-    b = box(min(b_raw[0], b_raw[2]), min(b_raw[1], b_raw[3]),
-            max(b_raw[0], b_raw[2]), max(b_raw[1], b_raw[3]))
-    v = iou(a, b)
-    assert v == iou(b, a)
-    assert 0.0 <= v <= 1.0
+def test_iou_table_values_are_in_the_unit_interval(boxes, video):
+    table, ids = _iou_table(detections(*boxes), video)
+    assert table.shape == (len(boxes), len(ids))
+    assert ((table >= 0.0) & (table <= 1.0)).all()
+
+
+# small integers make touching, nested and zero-area boxes; both zeros
+# check that each zero value carries the scalar rule's sign; extents near
+# the float limit make areas past it, whose union is NaN in both rules
+EDGE_COORDINATES = st.one_of(
+    st.integers(min_value=-3, max_value=3).map(float),
+    st.sampled_from([0.0, -0.0, -1.7e308, -1e308, 1e308, 1.7e308]),
+)
+
+
+@st.composite
+def crowds(draw):
+    """A first frame of 0-5 people, any of whose joints may be hidden, and
+    0-5 detections over it, all on EDGE_COORDINATES."""
+    joints = draw(st.integers(min_value=1, max_value=3))
+    ids = draw(st.lists(st.integers(min_value=0, max_value=40), max_size=5, unique=True))
+    people = [
+        (i, [(draw(EDGE_COORDINATES), draw(EDGE_COORDINATES), draw(st.booleans()))
+             for _ in range(joints)])
+        for i in ids
+    ]
+    boxes = draw(box_lists(EDGE_COORDINATES, 5))
+    return detections(*boxes), frame_with(*people, joints=joints)
+
+
+# a box and a person spanning [-1e308, 1e308]: their areas overflow
+SPAN = (-1e308, -1e308, 1e308, 1e308)
+SPAN_PERSON = (0, [(-1e308, -1e308, True), (1e308, 1e308, True)])
+
+
+@given(crowds(), st.floats(min_value=0.01, max_value=1.0))
+@example((detections(), frame_with(person_instance(0, 1, 1))), 0.3)
+@example((detections((0, 0, 1, 1)), frame_with()), 0.3)
+@example((detections(SPAN), frame_with(SPAN_PERSON)), 0.3)
+@example(
+    (detections((0.0, -0.0, 2.0, 2.0)), frame_with((3, [(-0.0, 0.0, True), (1.0, 9.0, False)]))),
+    0.3,
+)
+def test_iou_table_matches_the_scalar_oracle(crowd, threshold):
+    dset, video = crowd
+    table, ids = _iou_table(dset, video)
+    got = {
+        (d, i): table[d, col] for d in range(len(dset)) for col, i in enumerate(ids.tolist())
+    }
+    want = oracle_table(dset, video)
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        assert np.float64(value).tobytes() == got[key].tobytes(), (key, value, got[key])
+    # a NaN IoU meets no threshold
+    finite = {key: value for key, value in want.items() if not math.isnan(value)}
+    assert list(assign_detections(dset, video, threshold).pairs) == greedy_pairs_by_rescan(
+        finite, threshold
+    )
+
+
+def test_an_iou_of_areas_past_the_float_range_is_nan_and_matches_nobody():
+    frame = frame_with(SPAN_PERSON)
+    table, _ = _iou_table(detections(SPAN), frame)
+    assert math.isnan(table[0, 0])
+    assert assign_detections(detections(SPAN), frame, 0.3).pairs == ()
 
 
 # --- assignment ---------------------------------------------------------------------
@@ -81,10 +182,7 @@ def test_iou_is_symmetric_and_bounded(a_raw, b_raw):
 
 def test_assignment_simple_match():
     frame = frame_with(person_instance(0, 100, 100), person_instance(1, 300, 300))
-    dset = DetectionSet(
-        frame_index=0,
-        detections=(det("left", box(88, 88, 112, 112)), det("right", box(288, 288, 312, 312))),
-    )
+    dset = detections((88, 88, 112, 112), (288, 288, 312, 312))
     got = assign_detections(dset, frame, 0.3)
     assert set(got.pairs) == {(0, 0), (1, 1)}
     assert got.unmatched_detections == ()
@@ -93,10 +191,7 @@ def test_assignment_simple_match():
 
 def test_assignment_threshold_excludes_weak_overlap():
     frame = frame_with(person_instance(0, 100, 100))
-    dset = DetectionSet(
-        frame_index=0, detections=(det("far", box(105, 105, 130, 130)),)
-    )
-    got = assign_detections(dset, frame, 0.5)
+    got = assign_detections(detections((105, 105, 130, 130)), frame, 0.5)
     assert got.pairs == ()
     assert got.unmatched_detections == (0,)
     assert got.unmatched_instances == (0,)
@@ -106,13 +201,7 @@ def test_assignment_greedy_blocks_second_best():
     # detection 0 overlaps both instances; the better pair wins first and
     # detection 1 only overlaps instance 1, which is then taken
     frame = frame_with(person_instance(0, 100, 100), person_instance(1, 118, 100))
-    dset = DetectionSet(
-        frame_index=0,
-        detections=(
-            det("wide", box(90, 90, 128, 110)),
-            det("tight", box(108, 90, 128, 110)),
-        ),
-    )
+    dset = detections((90, 90, 128, 110), (108, 90, 128, 110))
     got = assign_detections(dset, frame, 0.05)
     assert len(got.pairs) == 2
     assert dict(got.pairs) == {0: 0, 1: 1} or dict(got.pairs) == {1: 1, 0: 0}
@@ -121,9 +210,7 @@ def test_assignment_greedy_blocks_second_best():
 def test_assignment_tie_prefers_lower_detection_then_instance():
     # two identical detections over one instance: detection 0 wins the tie
     frame = frame_with(person_instance(0, 100, 100))
-    b = box(90, 90, 110, 110)
-    dset = DetectionSet(frame_index=0, detections=(det("a", b), det("b", b)))
-    got = assign_detections(dset, frame, 0.3)
+    got = assign_detections(detections((90, 90, 110, 110), (90, 90, 110, 110)), frame, 0.3)
     assert got.pairs == ((0, 0),)
     assert got.unmatched_detections == (1,)
 
@@ -133,9 +220,7 @@ def test_assignment_requires_visible_keypoints():
     # them, even one over their hidden keypoints; the others still match
     hidden = (0, [(0.0, 0.0, False), (2.0, 2.0, False)])
     shown = (3, [(0.0, 0.0, True), (2.0, 2.0, True)])
-    dset = DetectionSet(
-        frame_index=0, detections=(det("x", box(0, 0, 2, 2)), det("y", box(0, 0, 2, 2)))
-    )
+    dset = detections((0, 0, 2, 2), (0, 0, 2, 2))
     got = assign_detections(dset, frame_with(hidden, shown), 0.3)
     assert got.pairs == ((0, 3),)
     assert got.unmatched_detections == (1,)
@@ -143,9 +228,8 @@ def test_assignment_requires_visible_keypoints():
 
 
 def test_assignment_needs_a_first_frame():
-    dset = DetectionSet(frame_index=0, detections=(det("x", box(0, 0, 2, 2)),))
     with pytest.raises(ValueError, match="no frames"):
-        assign_detections(dset, pose_video(4, 4, ("a",), []), 0.3)
+        assign_detections(detections((0, 0, 2, 2)), pose_video(4, 4, ("a",), []), 0.3)
 
 
 def test_assignment_one_to_one_is_enforced():
@@ -164,20 +248,17 @@ def test_assignment_matches_the_rescan_oracle(seed):
     for i in range(n_inst):
         cx, cy = rng.uniform(20, 180, 2)
         instances.append(person_instance(i, cx, cy, half=float(rng.uniform(5, 30))))
-    detections = []
+    boxes = []
     for _ in range(n_det):
         cx, cy = rng.uniform(20, 180, 2)
         w, h = rng.uniform(5, 40, 2)
-        detections.append(det("p", box(cx - w, cy - h, cx + w, cy + h)))
+        boxes.append((cx - w, cy - h, cx + w, cy + h))
     frame = frame_with(*instances)
-    dset = DetectionSet(frame_index=0, detections=tuple(detections))
+    dset = detections(*boxes)
     threshold = float(rng.uniform(0.05, 0.6))
     got = assign_detections(dset, frame, threshold)
 
-    table = {}
-    for d_idx, d in enumerate(detections):
-        for row, (inst_id, _) in enumerate(instances):
-            table[(d_idx, inst_id)] = iou(d.box, keypoint_bbox(frame, row))
+    table = oracle_table(dset, frame)
     expected = greedy_pairs_by_rescan(table, threshold)
     assert list(got.pairs) == expected
     assert set(got.unmatched_detections) == set(range(n_det)) - {d for d, _ in expected}
@@ -312,14 +393,33 @@ def test_edit_rejects_unknown_instance_id():
 def test_parse_detections_fixture():
     dset = parse_detections(read_fixture("e2e_duo_wave", "detections.json"))
     assert dset.frame_index == 0
-    assert len(dset.detections) == 2
-    assert dset.detections[0].phrase == "the man on the left"
-    assert dset.detections[1].score == 0.86
+    assert len(dset) == 2
+    assert dset.phrases[0] == "the man on the left"
+    assert dset.scores[1] == 0.86
+    assert dset.boxes.shape == (2, 4) and not dset.boxes.flags.writeable
 
 
 def test_parse_detections_accepts_empty_list():
     dset = parse_detections('{"frame_index": 0, "detections": []}')
-    assert dset.detections == ()
+    assert dset.phrases == ()
+    assert dset.boxes.shape == (0, 4) and dset.scores.shape == (0,)
+
+
+@pytest.mark.parametrize(
+    "columns, message",
+    [
+        ((-1, (), np.empty((0, 4)), ()), "frame_index"),
+        ((0, ("p",), np.empty((0, 4)), ()), "one row for each of 1 phrases"),
+        ((0, ("p",), [[0, 0, 1, 1]], [0.5, 0.5]), "one row for each of 1 phrases"),
+        ((0, ("p",), [[0, 0, math.inf, 1]], [0.5]), "finite"),
+        ((0, ("p",), [[0, 2, 1, 1]], [0.5]), "y_min <= y_max"),
+        ((0, ("p",), [[0, 0, 1, 1]], [1.5]), r"\[0, 1\]"),
+        ((0, ("p",), [[0, 0, 1, 1]], [math.nan]), r"\[0, 1\]"),
+    ],
+)
+def test_detection_set_checks_its_columns(columns, message):
+    with pytest.raises(ValueError, match=message):
+        DetectionSet(*columns)
 
 
 @pytest.mark.parametrize(
@@ -351,10 +451,41 @@ def test_parse_detections_rejects_malformed(doc, message):
 
 
 def test_out_of_bounds_detections_flags_escaping_boxes():
-    inside = det("in", box(10, 10, 20, 20))
-    outside = det("out", box(-5, 10, 20, 20))
-    dset = DetectionSet(frame_index=0, detections=(inside, outside))
+    dset = detections((10, 10, 20, 20), (-5, 10, 20, 20))
     assert out_of_bounds_detections(dset, 100, 100) == (1,)
+
+
+def detection_document(*boxes):
+    return json.dumps(
+        {
+            "frame_index": 0,
+            "detections": [
+                {"phrase": f"d{i}", "box": list(box), "score": 0.5}
+                for i, box in enumerate(boxes)
+            ],
+        }
+    )
+
+
+def test_out_of_bounds_detections_flags_one_ulp_past_an_edge_not_the_edge():
+    width, height = 64, 48
+    edge = [0.0, 0.0, float(width), float(height)]
+    past = []
+    for k, toward in enumerate((-math.inf, -math.inf, math.inf, math.inf)):
+        box = list(edge)
+        box[k] = float(np.nextafter(box[k], toward))
+        past.append(box)
+    dset = parse_detections(detection_document(edge, [-0.0, -0.0, 64.0, 48.0], *past))
+    assert out_of_bounds_detections(dset, width, height) == (2, 3, 4, 5)
+
+
+def test_out_of_bounds_detections_compares_with_the_exact_integer_extent():
+    # as a float, 2**53 + 3 rounds to 2**53 + 4, and 10**400 is past the range
+    dset = parse_detections(
+        detection_document([0.0, 0.0, 2.0**53 + 2, 1.0], [0.0, 0.0, 2.0**53 + 4, 1.0])
+    )
+    assert out_of_bounds_detections(dset, 2**53 + 3, 1) == (1,)
+    assert out_of_bounds_detections(dset, 10**400, 10**400) == ()
 
 
 # --- array code against per-keypoint references ------------------------------------

@@ -10,12 +10,10 @@ from hypothesis import given, strategies as st
 from posedit import pose_model
 from posedit import (
     Assignment,
-    GeometryError,
     ParseError,
     PoseVideo,
     alignment_transforms,
     edit_pose_video,
-    keypoint_bbox,
     parse_pose_video,
     resample_video,
     serialize_pose_video,
@@ -266,7 +264,6 @@ def test_array_paths_build_no_views(monkeypatch):
     aligned, _ = alignment_transforms(working, assignment, retrieved)
     edited = edit_pose_video(working, assignment, aligned)
     serialize_pose_video(edited)
-    keypoint_bbox(edited, 0)
     assert reads == []
     # the walk perfbench/tracing.py makes over every parsed video
     assert sum(len(frame.instances) for frame in edited.frames) == len(edited.instance_id)
@@ -378,30 +375,6 @@ def test_parse_rejects_missing_keypoint_relative_to_skeleton():
 def test_parse_rejects_non_object_top_level():
     with pytest.raises(ParseError, match="expected an object"):
         parse_pose_video("[1, 2, 3]\n")
-
-
-# --- derived geometry ---------------------------------------------------------------
-
-
-def test_keypoint_bbox_spans_visible_points_only():
-    video = pose_video(
-        300,
-        300,
-        ("a", "b", "c"),
-        [
-            (0, [(0, [(0.0, 0.0, True)] * 3)]),
-            (1, [(8, [(0.0, 0.0, True)] * 3),
-                 (3, [(1.0, 2.0, True), (100.0, 200.0, False), (5.0, -1.0, True)])]),
-        ],
-    )
-    box = keypoint_bbox(video, 2)
-    assert (box.x_min, box.y_min, box.x_max, box.y_max) == (1.0, -1.0, 5.0, 2.0)
-
-
-def test_keypoint_bbox_requires_a_visible_point():
-    video = pose_video(4, 4, ("a",), [(0, [(2, [(1.0, 2.0, True)]), (7, [(1.0, 2.0, False)])])])
-    with pytest.raises(GeometryError, match="instance 7"):
-        keypoint_bbox(video, 1)
 
 
 def test_a_visible_keypoint_outside_the_frame_is_kept():
