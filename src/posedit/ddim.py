@@ -35,25 +35,15 @@ STEPS_DEFAULT = 50
 class DdimSchedule:
     """Cumulative noise coefficients; index t runs 0..T with alphas[0] = 1.
 
-    Built by :func:`make_schedule`, which gives T >= 1 betas and T + 1 alphas."""
+    Built by :func:`make_schedule`: T >= 1 more alphas, strictly decreasing in (0, 1]."""
 
     beta_start: float
     beta_end: float
-    betas: tuple[float, ...]
     alphas: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "betas", tuple(float(b) for b in self.betas))
-        object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
-        for t in range(1, len(self.alphas)):
-            if not 0.0 < self.alphas[t] <= 1.0:
-                raise ValueError(f"alphas[{t}] out of (0, 1]")
-            if self.alphas[t] >= self.alphas[t - 1]:
-                raise ValueError("alphas must be strictly decreasing")
 
     @property
     def steps(self) -> int:
-        return len(self.betas)
+        return len(self.alphas) - 1
 
 
 def make_schedule(
@@ -61,7 +51,8 @@ def make_schedule(
     beta_start: float = BETA_START_DEFAULT,
     beta_end: float = BETA_END_DEFAULT,
 ) -> DdimSchedule:
-    """Linear beta ramp of ``steps`` values with cumulative-product alphas."""
+    """Linear beta ramp of ``steps`` values (one step: ``beta_start``), with
+    cumulative-product alphas checked as each is multiplied in."""
     if steps < 1:
         raise ValueError(f"steps must be positive, got {steps}")
     if not 0.0 < beta_start <= beta_end < 1.0:
@@ -69,21 +60,17 @@ def make_schedule(
             f"betas must satisfy 0 < beta_start <= beta_end < 1, "
             f"got ({beta_start}, {beta_end})"
         )
-    if steps == 1:
-        betas = [float(beta_start)]
-    else:
-        betas = [
-            beta_start + (beta_end - beta_start) * i / (steps - 1) for i in range(steps)
-        ]
+    beta_start, beta_end = float(beta_start), float(beta_end)
     alphas = [1.0]
-    for b in betas:
-        alphas.append(alphas[-1] * (1.0 - b))
-    return DdimSchedule(
-        beta_start=float(beta_start),
-        beta_end=float(beta_end),
-        betas=tuple(betas),
-        alphas=tuple(alphas),
-    )
+    for i in range(steps):
+        beta = beta_start if steps == 1 else beta_start + (beta_end - beta_start) * i / (steps - 1)
+        alpha = alphas[-1] * (1.0 - beta)
+        if not 0.0 < alpha <= 1.0:
+            raise ValueError(f"alphas[{i + 1}] out of (0, 1]")
+        if alpha >= alphas[-1]:
+            raise ValueError("alphas must be strictly decreasing")
+        alphas.append(alpha)
+    return DdimSchedule(beta_start=beta_start, beta_end=beta_end, alphas=tuple(alphas))
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,19 +96,14 @@ class LatentState:
         return self.values.shape[0]
 
 
-def _check_eps(eps, dim: int) -> np.ndarray:
-    arr = np.asarray(eps, dtype=np.float64)
-    if arr.shape != (dim,):
-        raise ShapeError(f"eps shape {arr.shape} does not match latent dim {dim}")
-    return arr
-
-
 def _move(z: LatentState, eps, sched: DdimSchedule, t_to: int) -> LatentState:
     """The DDIM update of ``z`` from its step to step ``t_to``: estimate the
     clean latent, then re-noise it.  Raises :class:`GeometryError` when the
     result overflows the float range."""
     a_from, a_to = sched.alphas[z.t], sched.alphas[t_to]
-    eps = _check_eps(eps, z.dim)
+    eps = np.asarray(eps, dtype=np.float64)
+    if eps.shape != (z.dim,):
+        raise ShapeError(f"eps shape {eps.shape} does not match latent dim {z.dim}")
     # overflow is reported below as a GeometryError, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         scaled = (z.values - math.sqrt(1.0 - a_from) * eps) / math.sqrt(a_from)
@@ -148,22 +130,33 @@ def ddim_invert_step(z_prev: LatentState, eps, sched: DdimSchedule) -> LatentSta
     return _move(z_prev, eps, sched, z_prev.t + 1)
 
 
-def sample_with_blend(
-    z_start: LatentState, pred, tau, sched: DdimSchedule
-) -> list[LatentState]:
-    """Iterate denoising steps from ``z_start.t`` down to step 0.
-
-    Returns every intermediate latent, ``z_start`` first.
-    """
+def sample_with_blend(z_start: LatentState, pred, sched: DdimSchedule) -> list[LatentState]:
+    """Iterate denoising steps with noise ``pred(z, t, None)`` from
+    ``z_start.t`` down to step 0; returns every latent, ``z_start`` first."""
     trajectory = [z_start]
     z = z_start
     for t in range(z_start.t, 0, -1):
-        z = ddim_denoise_step(z, pred(z.values, t, tau), sched)
+        z = ddim_denoise_step(z, pred(z.values, t, None), sched)
         trajectory.append(z)
     return trajectory
 
 
 # --- analytic predictor family --------------------------------------------------
+
+_BLOCK = 65536  # product values per block of rows: no step holds a second D x D array
+
+
+def _row_sums(a: np.ndarray, z: np.ndarray, rows: int) -> np.ndarray:
+    """``(a * z).sum(axis=1)`` bit for bit, ``rows`` rows of the product at a
+    time in one reused buffer.  numpy reduces each row over the same D
+    contiguous values as in the one-shot form; it does not promise equal
+    bits, so a test guards them."""
+    out, buf = np.empty(len(a)), np.empty((min(rows, len(a)), len(z)))
+    for start in range(0, len(a), rows):
+        part = a[start : start + rows]
+        block = np.multiply(part, z, out=buf[: len(part)])
+        np.add.reduce(block, axis=1, out=out[start : start + rows])
+    return out
 
 
 def linear_predictor(matrix):
@@ -180,11 +173,12 @@ def linear_predictor(matrix):
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"matrix must be square, got shape {a.shape}")
     a.setflags(write=False)
+    rows = max(1, _BLOCK // max(1, a.shape[0]))
 
     def pred(z, t, tau):
         if z.shape != (a.shape[0],):
             raise ShapeError(f"latent dim {z.shape} does not match matrix {a.shape}")
         with np.errstate(over="ignore", invalid="ignore"):
-            return (a * z).sum(axis=1)
+            return _row_sums(a, z, rows)
 
     return pred

@@ -536,7 +536,7 @@ def run_ddim_demo(config: PipelineConfig) -> dict:
     z_top = z
 
     # replaying the recorded noise makes the denoise pass the exact inverse
-    trajectory = sample_with_blend(z_top, lambda zv, t, tau: noise_log[t], None, sched)
+    trajectory = sample_with_blend(z_top, lambda zv, t, tau: noise_log[t], sched)
     reconstructed = trajectory[-1]
     round_trip_error = float(np.max(np.abs(reconstructed.values - z0.values)))
 

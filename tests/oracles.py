@@ -101,7 +101,7 @@ def greedy_pairs_by_rescan(iou_table, threshold):
     while True:
         best = None
         for (d, i), v in sorted(iou_table.items()):
-            if v < threshold or d in used_d or i in used_i:
+            if not v >= threshold or d in used_d or i in used_i:
                 continue
             if best is None or v > best[0]:
                 best = (v, d, i)
@@ -221,6 +221,8 @@ def ddim_linear_final(matrix, z_top, alphas, from_t):
 
 
 def linear_betas(beta_start, beta_end, steps):
+    if steps == 1:
+        return [beta_start]
     return [
         beta_start + (beta_end - beta_start) * i / (steps - 1) for i in range(steps)
     ]

@@ -14,28 +14,28 @@ from posedit import (
     make_schedule,
     sample_with_blend,
 )
+from posedit.ddim import _row_sums
 from oracles import ddim_linear_final, linear_betas
+
+
+def running_alphas(betas):
+    alphas = [1.0]
+    for b in betas:
+        alphas.append(alphas[-1] * (1.0 - b))
+    return tuple(alphas)
 
 
 def test_default_schedule_shape_and_endpoints():
     sched = make_schedule()
     assert sched.steps == 50
-    assert len(sched.betas) == 50
-    assert len(sched.alphas) == 51
-    assert sched.alphas[0] == 1.0
-    assert math.isclose(sched.betas[0], 0.00085, rel_tol=1e-12)
-    assert math.isclose(sched.betas[-1], 0.012, rel_tol=1e-12)
+    assert (sched.beta_start, sched.beta_end) == (0.00085, 0.012)
+    assert sched.alphas == running_alphas(linear_betas(0.00085, 0.012, 50))
 
 
 def test_schedule_betas_form_a_linear_ramp():
     sched = make_schedule(beta_start=0.001, beta_end=0.02, steps=10)
-    expected = linear_betas(0.001, 0.02, 10)
-    assert list(sched.betas) == expected
-    # alphas are the running product of (1 - beta)
-    prod = 1.0
-    for i, beta in enumerate(sched.betas, start=1):
-        prod *= 1.0 - beta
-        assert math.isclose(sched.alphas[i], prod, rel_tol=1e-12)
+    # alphas are the running product of (1 - beta) over the linear ramp
+    assert sched.alphas == running_alphas(linear_betas(0.001, 0.02, 10))
 
 
 def test_schedule_alphas_strictly_decrease():
@@ -49,7 +49,9 @@ def test_schedule_validation():
     with pytest.raises(ValueError):
         make_schedule(steps=0)
     # a one-step schedule is legal and uses beta_start alone
-    assert make_schedule(steps=1, beta_start=0.5, beta_end=0.6).betas == (0.5,)
+    assert make_schedule(steps=1, beta_start=0.5, beta_end=0.6).alphas == running_alphas(
+        linear_betas(0.5, 0.6, 1)
+    )
     with pytest.raises(ValueError):
         make_schedule(beta_start=0.0)
     with pytest.raises(ValueError):
@@ -174,6 +176,34 @@ def test_an_overflowing_linear_eps_is_refused_by_the_step():
         ddim_invert_step(z, eps, sched)
 
 
+# subnormals, signed zeros, magnitudes whose products overflow, and infinities
+# whose sums give inf - inf
+SPECIAL_VALUES = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e300, -1e300, np.inf, -np.inf])
+
+
+@given(
+    st.integers(min_value=1, max_value=300),
+    st.integers(min_value=1, max_value=16),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_row_sums_equal_the_one_shot_reduction_bit_for_bit(dim, rows, special_share, seed):
+    rng = np.random.default_rng(seed)
+
+    def draw(shape):
+        values = rng.standard_normal(shape)
+        special = rng.random(shape) < special_share
+        values[special] = rng.choice(SPECIAL_VALUES, size=int(special.sum()))
+        return values
+
+    a, z = draw((dim, dim)), draw(dim)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = (a * z).sum(axis=1)
+        got = _row_sums(a, z, rows)
+    # NaN rows must carry the same NaN bits too
+    assert got.tobytes() == want.tobytes()
+
+
 # --- trajectory sampling -------------------------------------------------------------
 
 
@@ -182,7 +212,7 @@ def test_sample_with_blend_returns_full_trajectory():
     rng = np.random.default_rng(12)
     z = LatentState(values=rng.standard_normal(3), t=6)
     pred = linear_predictor(np.zeros((3, 3)))
-    traj = sample_with_blend(z, pred, None, sched)
+    traj = sample_with_blend(z, pred, sched)
     assert len(traj) == 7
     assert [s.t for s in traj] == [6, 5, 4, 3, 2, 1, 0]
     assert traj[0] is z
