@@ -18,8 +18,6 @@ import math
 
 from .errors import ParseError, ShapeError
 
-_NUMBER_TYPES = {int, float}
-
 
 def _reject_constant(name):
     raise ParseError(f"non-finite number {name!r} is not allowed")
@@ -156,39 +154,27 @@ def well_formed(text: str) -> bool:
     return True
 
 
-def finite_floats(column: list) -> list[float] | None:
-    """``column`` as floats when every item is a finite number, else None.
-
-    Each item is checked once, by whole-list builtins: a column of floats is
-    returned as it is, not copied, and only a column holding an int is
-    converted.  A caller that gets None walks the column with :func:`real`
-    to name the first bad item.
-    """
-    kinds = set(map(type, column))
-    if not kinds <= _NUMBER_TYPES:
-        return None
-    if int in kinds:
-        try:
-            column = list(map(float, column))
-        except OverflowError:
-            return None
-    # a non-finite item makes the sum non-finite; finite items whose sum
-    # overflows only send the column to the caller's walk
-    return column if math.isfinite(sum(column)) else None
-
-
 def reals(node, path, *keys, nonempty=False, nonneg=False) -> list[float]:
     """An array of finite numbers (non-negative with ``nonneg``) as floats.
 
-    The common all-valid array is checked with :func:`finite_floats`, and an
-    array of floats is returned as parsed; only when that check fails is each
-    element checked in turn, to name the first bad index.
+    The common all-valid array is checked once, by whole-list builtins: an
+    array of floats is returned as parsed, and only one holding an int is
+    converted.  Only when that check fails is each element checked in turn,
+    to name the first bad index.
     """
     if type(node) is not list or (nonempty and not node):  # cheaper than the call
         array(node, path, *keys, nonempty=nonempty)
-    values = finite_floats(node)
-    if values is not None and not (nonneg and values and min(values) < 0.0):
-        return values
+    kinds = set(map(type, node))
+    if kinds <= {int, float}:
+        try:
+            values = list(map(float, node)) if int in kinds else node
+        except OverflowError:  # an int past the float range: the walk names it
+            pass
+        else:
+            # a non-finite item makes the sum non-finite; finite items whose
+            # sum overflows only send the array to the walk below
+            if math.isfinite(sum(values)) and not (nonneg and values and min(values) < 0.0):
+                return values
     where = name(path, *keys)
     values = []
     for i, item in enumerate(node):

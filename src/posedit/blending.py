@@ -96,13 +96,6 @@ class CrossAttentionMap:
 
     maps: tuple[SpatialMap, ...]
 
-    @classmethod
-    def _view(cls, maps: tuple[SpatialMap, ...]) -> CrossAttentionMap:
-        """Token maps that share one grid by construction, unchecked."""
-        c = cls.__new__(cls)
-        object.__setattr__(c, "maps", maps)
-        return c
-
     def __post_init__(self):
         object.__setattr__(self, "maps", tuple(self.maps))
         if not self.maps:
@@ -219,11 +212,9 @@ def synthetic_attention_stack(trajectory, tokens: int) -> AttentionStack:
             records.append(
                 BlendStepRecord(
                     step=t,
-                    inversion_cross=CrossAttentionMap._view(tuple(maps[:tokens])),
+                    inversion_cross=CrossAttentionMap(maps=maps[:tokens]),
                     inversion_self=maps[tokens],
-                    denoise_cross=CrossAttentionMap._view(
-                        tuple(maps[tokens + 1 : 2 * tokens + 1])
-                    ),
+                    denoise_cross=CrossAttentionMap(maps=maps[tokens + 1 : 2 * tokens + 1]),
                     denoise_self=maps[2 * tokens + 1],
                 )
             )

@@ -55,7 +55,7 @@ from .editor import (
 )
 from .errors import ParseError, StageError
 from .metrics import gt_con, parse_metric_cases, prompt_hit, vid_con
-from .pose_model import parse_pose_video, serialize_pose_video
+from .pose_model import PoseVideo, parse_pose_video, serialize_pose_video
 from .procrustes import (
     KeypointSet,
     SimilarityTransform2D,
@@ -141,6 +141,18 @@ def _decode(path: str, data: bytes) -> str:
 def _read(path: str) -> str:
     """The text of the file at ``path``, by :func:`_load` and :func:`_decode`."""
     return _decode(path, _load(path))
+
+
+def _pose_video(path: str, role: str) -> PoseVideo:
+    """The ``role`` pose video at ``path``: a ParseError names the file, and
+    a video with no frames is refused."""
+    try:
+        video = parse_pose_video(_read(path))
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    if not len(video.frame_index):
+        raise StageError(f"{role} video has no frames")
+    return video
 
 
 def _beside(owner: str, path: str) -> str:
@@ -328,11 +340,9 @@ def run_align(config: PipelineConfig, fixed_path: str, moving_path: str) -> dict
     transformed clip ``aligned.json``.
     """
     out_dir = _needed(config.out_dir, "--out-dir")
-    fixed = parse_pose_video(_read(fixed_path))
-    moving = parse_pose_video(_read(moving_path))
+    fixed = _pose_video(fixed_path, "fixed")
+    moving = _pose_video(moving_path, "moving")
     for name, video in (("fixed", fixed), ("moving", moving)):
-        if not len(video.frame_index):
-            raise StageError(f"{name} video has no frames")
         if video.offsets[1] != 1:
             raise StageError(
                 f"{name} video must have exactly 1 instance in its first frame, "
@@ -415,40 +425,39 @@ def run_edit(config: PipelineConfig) -> dict:
     top-1, ``edited_01.json`` ... for diverse results) plus ``report.json``.
     """
     out_dir = _needed(config.out_dir, "--out-dir")
-    source = parse_pose_video(_read(_needed(config.source, "--source")))
+    source = _pose_video(_needed(config.source, "--source"), "source")
     dset = parse_detections(_read(_needed(config.detections, "--detections")))
-    answer = parse_answer(_read(_needed(config.answer, "--answer")))
-    db_path = _needed(config.db, "--db")
-    db = _database(db_path)
-    q = _embed_answer(config, answer)
-
-    if not len(source.frame_index):
-        raise StageError("source video has no frames")
     first_index = int(source.frame_index[0])
     if dset.frame_index != first_index:
         raise StageError(
             f"detections are for frame_index {dset.frame_index}, but the source "
             f"starts at frame_index {first_index}"
         )
+    answer = parse_answer(_read(_needed(config.answer, "--answer")))
+    db_path = _needed(config.db, "--db")
+    db = _database(db_path)
+    q = _embed_answer(config, answer)
+
     working = resample_video(source, config.frame_count)
     assignment = assign_detections(dset, working, config.iou_threshold)
 
     ranking = _ranking(db, q, config.top_k)
 
     files = {}
-    clips = {}  # resolved path -> parsed clip: entries may share a clip file
+    edits = {}  # real path -> (text, aligned, unaligned): entries may share a clip file
     for entry_doc in ranking:
         video_path = _beside(db_path, entry_doc.pop("pose_video_path"))
         key = os.path.realpath(video_path)
-        if key not in clips:
-            clips[key] = parse_pose_video(_read(video_path))
-        retrieved = clips[key]
-        aligned, unaligned = alignment_transforms(working, assignment, retrieved)
-        edited = edit_pose_video(working, assignment, aligned)
+        if key not in edits:
+            retrieved = _pose_video(video_path, "retrieved")
+            aligned, unaligned = alignment_transforms(working, assignment, retrieved)
+            edited = edit_pose_video(working, assignment, aligned)
+            edits[key] = (serialize_pose_video(edited), aligned, unaligned)
+        text, aligned, unaligned = edits[key]
         out_name = (
             "edited.json" if len(ranking) == 1 else f"edited_{entry_doc['rank']:02d}.json"
         )
-        files[out_name] = serialize_pose_video(edited)
+        files[out_name] = text
         entry_doc["output"] = out_name
         entry_doc["transforms"] = {
             str(inst_id): _transform_doc(tr) for inst_id, (tr, _) in sorted(aligned.items())

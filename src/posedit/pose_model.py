@@ -108,8 +108,6 @@ class _Record:
                 return False
         return True
 
-    __hash__ = None
-
     def __repr__(self):
         fields = ", ".join(f"{key}={getattr(self, key)!r}" for key in self._fields)
         return f"{type(self).__name__}({fields})"

@@ -142,6 +142,30 @@ def test_align_frameless_fixed_clip_exits_3(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def with_bad_confidence(doc):
+    """``doc``, a pose video, with keypoint 1 of the first frame's first
+    instance at a confidence of 1.5."""
+    doc["frames"][0]["instances"][0]["keypoints"][1]["confidence"] = 1.5
+    return doc
+
+
+BAD_CONFIDENCE = "frames[0].instances[0].keypoints[1].confidence: must be in [0, 1], got 1.5"
+
+
+@pytest.mark.parametrize("bad", ["fixed", "moving"])
+def test_align_parse_error_names_the_clip_it_is_in(tmp_path, capsys, bad):
+    clips = {role: fixture_path("align", f"{role}.json") for role in ("fixed", "moving")}
+    clips[bad] = str(tmp_path / f"{bad}.json")
+    doc = with_bad_confidence(json.loads(read_fixture("align", f"{bad}.json")))
+    (tmp_path / f"{bad}.json").write_text(json.dumps(doc), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(
+        capsys, "align", clips["fixed"], clips["moving"], "--out-dir", str(out_dir)
+    )
+    assert (code, out, err) == (2, "", f"error: {clips[bad]}: {BAD_CONFIDENCE}\n")
+    assert not out_dir.exists()
+
+
 @pytest.mark.filterwarnings("error")
 def test_align_overflowing_clip_exits_3(tmp_path, capsys):
     def clip(*frames):
@@ -373,28 +397,48 @@ def test_edit_missing_source_exits_3(tmp_path, capsys):
     assert "supply --source" in err
 
 
-def test_edit_detections_for_another_frame_exit_3(tmp_path, capsys):
-    detections = json.loads(read_fixture("e2e_girl_dance", "detections.json"))
-    detections["frame_index"] = 7
-    path = tmp_path / "detections.json"
-    path.write_text(json.dumps(detections), encoding="utf-8")
+@pytest.mark.parametrize(
+    "flag, change, message",
+    [
+        ("--source", {"frames": []}, "source video has no frames"),
+        ("--detections", {"frame_index": 7},
+         "detections are for frame_index 7, but the source starts at frame_index 0"),
+    ],
+    ids=["frameless-source", "detections-for-another-frame"],
+)
+def test_edit_refuses_a_bad_source_before_the_database_and_the_embedder(
+    tmp_path, capsys, isolated_cache, flag, change, message
+):
+    name = f"{flag[2:]}.json"
+    doc = json.loads(read_fixture("e2e_girl_dance", name))
+    doc.update(change)
+    (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
     argv = edit_flags("e2e_girl_dance", tmp_path / "out")
-    argv[argv.index("--detections") + 1] = str(path)
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 3
-    assert "frame_index 7" in err and "frame_index 0" in err
+    argv[argv.index(flag) + 1] = str(tmp_path / name)
+    # the embedder would leave a marker and print the bundle's query embedding
+    marker = tmp_path / "embedder-ran"
+    program = (
+        f"import pathlib, sys; pathlib.Path({str(marker)!r}).touch(); "
+        f"sys.stdout.write(open({fixture_path('e2e_girl_dance', 'query.json')!r}).read())"
+    )
+    code, out, err = edit_with_embedder(tmp_path, capsys, program, argv)
+    assert (code, out, err) == (3, "", f"error: {message}\n")
+    assert not marker.exists()
+    assert not isolated_cache.exists()  # no database was compiled and stored
     assert not os.path.exists(tmp_path / "out")
 
 
-def test_edit_frameless_source_exits_3(tmp_path, capsys):
-    doc = json.loads(read_fixture("e2e_girl_dance", "source.json"))
-    doc["frames"] = []
-    source = tmp_path / "source.json"
-    source.write_text(json.dumps(doc), encoding="utf-8")
+@pytest.mark.parametrize("bad", ["source.json", os.path.join("db", "clips", "dance_01.json")])
+def test_edit_parse_error_names_the_pose_video_it_is_in(tmp_path, capsys, bad):
+    bundle = copy_bundle(tmp_path, "e2e_girl_dance")
+    doc = with_bad_confidence(json.loads((bundle / bad).read_text(encoding="utf-8")))
+    (bundle / bad).write_text(json.dumps(doc), encoding="utf-8")
     argv = edit_flags("e2e_girl_dance", tmp_path / "out")
-    argv[argv.index("--source") + 1] = str(source)
+    for flag, name in (("--source", "source.json"), ("--db", os.path.join("db", "manifest.json"))):
+        argv[argv.index(flag) + 1] = str(bundle / name)
     code, out, err = run_cli(capsys, *argv)
-    assert (code, out, err) == (3, "", "error: source video has no frames\n")
+    # a retrieved clip is named as the manifest's directory joined with its path
+    assert (code, out, err) == (2, "", f"error: {bundle / bad}: {BAD_CONFIDENCE}\n")
     assert not os.path.exists(tmp_path / "out")
 
 
@@ -455,13 +499,13 @@ def test_malformed_embedder_command_exits_2(tmp_path, capsys):
     assert not os.path.exists(tmp_path / "out")
 
 
-def edit_with_embedder(tmp_path, capsys, program):
-    """``edit`` on the girl_dance bundle with ``python -c program`` as its
-    embedder instead of a query embedding."""
+def edit_with_embedder(tmp_path, capsys, program, argv=None):
+    """``edit`` by ``argv`` (default: on the girl_dance bundle) with
+    ``python -c program`` as its embedder instead of a query embedding."""
     embedder = [sys.executable, "-c", program]
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps({"embedder_command": shlex.join(embedder)}), encoding="utf-8")
-    argv = edit_flags("e2e_girl_dance", tmp_path / "out")
+    argv = argv or edit_flags("e2e_girl_dance", tmp_path / "out")
     i = argv.index("--query-embedding")
     del argv[i : i + 2]
     return run_cli(capsys, *argv, "--config", str(cfg_path))
@@ -507,6 +551,36 @@ def test_edit_kills_an_embedder_that_outlives_its_timeout(tmp_path, capsys, monk
     assert embedder.returncode is not None  # killed and reaped
     with pytest.raises(ProcessLookupError):
         os.kill(embedder.pid, 0)
+
+
+def test_edit_edits_a_clip_that_two_ranked_entries_share_once(tmp_path, capsys, monkeypatch):
+    bundle = copy_bundle(tmp_path, "e2e_girl_dance")
+    manifest = bundle / "db" / "manifest.json"
+    entries = json.loads(manifest.read_text(encoding="utf-8"))
+    query = json.loads(read_fixture("e2e_girl_dance", "query.json"))["values"]
+    # a second spelling of the top entry's clip path, ranked first by its embedding
+    entries.append({"entry_id": "dance_02", "label": "dance", "embedding": query,
+                    "pose_video_path": "./clips/../clips/dance_01.json"})
+    manifest.write_text(json.dumps(entries), encoding="utf-8")
+    calls = []
+    real = pipeline.alignment_transforms
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(pipeline, "alignment_transforms", counted)
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(
+        capsys, "edit", "--config", str(bundle / "config.json"), "--top-k", "2",
+        "--out-dir", str(out_dir),
+    )
+    assert code == 0, err
+    first, second = load_out(out_dir, "report.json")["retrieved"]
+    assert (first["entry_id"], second["entry_id"]) == ("dance_02", "dance_01")
+    assert first["transforms"] == second["transforms"]
+    assert filecmp.cmp(out_dir / "edited_01.json", out_dir / "edited_02.json", shallow=False)
+    assert len(calls) == 1
 
 
 def test_edit_leaves_a_bystander_without_visible_keypoints_unmatched(tmp_path, capsys):

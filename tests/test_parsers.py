@@ -25,7 +25,7 @@ from posedit import (
     parse_pose_video,
     query,
 )
-from posedit._schema import reals
+from posedit._schema import real, reals
 from conftest import fixture_path, read_fixture
 from oracles import ranking_by_sort
 
@@ -409,6 +409,40 @@ def test_embedding_constructor_accepts_exactly_what_reals_accepts(items):
         built = EmbeddingVector(values=items)
         assert built.values == tuple(expected)
         assert {type(v) for v in built.values} == {float}
+
+
+@given(
+    st.lists(
+        st.floats()
+        | st.integers()
+        | st.sampled_from([1e308, -1.0, -0.0, float("inf"), float("-inf"), float("nan")])
+        | json_leaves,
+        max_size=6,
+    ),
+    st.booleans(),
+)
+def test_reals_returns_or_refuses_what_an_item_by_item_walk_does(items, nonneg):
+    # the whole-list check may only take a shortcut to the walk's result
+    def walk():
+        values = []
+        for i, item in enumerate(items):
+            value = real(item, "values", i)
+            if nonneg and value < 0.0:
+                raise ParseError(f"values[{i}]: must be non-negative, got {value}")
+            values.append(value)
+        return values
+
+    try:
+        expected = walk()
+    except ParseError as exc:
+        with pytest.raises(ParseError) as caught:
+            reals(items, "values", nonneg=nonneg)
+        assert str(caught.value) == str(exc)
+    else:
+        got = reals(items, "values", nonneg=nonneg)
+        assert got == expected and {type(v) for v in got} <= {float}
+        if {type(v) for v in items} <= {float}:
+            assert got is items  # an array of floats is returned as parsed
 
 
 def test_db_manifest_row_of_the_wrong_length_is_refused_by_build_index():

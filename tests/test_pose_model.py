@@ -238,6 +238,9 @@ def test_views_compare_equal_to_the_constructed_video():
     assert not inst.xy.flags.writeable
     with pytest.raises(AttributeError):
         inst.instance_id = 5
+    for record in (video, video.frames[0], inst):  # equal by value, so not hashable
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(record)
 
 
 def test_views_cannot_be_built_from_objects():
